@@ -290,17 +290,15 @@ class Piecewise(Distribution):
 
     def flat_left_of(self, x: RealLike) -> tuple[bool, Fraction | None]:
         x = as_fraction(x)
-        nearest: Fraction | None = None
-        for left, right, _ in self.segments:
-            if left < x <= right:
-                return False, None
-            if right < x and (nearest is None or right > nearest):
-                nearest = right
-        for loc in self._atom_mass:
-            if loc < x and (nearest is None or loc > nearest):
-                nearest = loc
-        witness = x - 1 if nearest is None else (nearest + x) / 2
-        return True, witness
+        crit = self._crit
+        # crit[j] is the largest critical point below x; x is covered by a
+        # segment exactly when the gap (crit[j], crit[j+1]] has positive density.
+        j = bisect.bisect_left(crit, x) - 1
+        if j < 0:
+            return True, x - 1
+        if j < len(self._gap_density) and self._gap_density[j]:
+            return False, None
+        return True, (crit[j] + x) / 2
 
     def support_bounds(self) -> tuple[Fraction, Fraction]:
         return self._crit[0], self._crit[-1]
@@ -349,7 +347,6 @@ class Parametric(Distribution):
     """
 
     is_exact = False
-    strictly_increasing = True
 
     def _cdf(self, x: float) -> float:
         raise NotImplementedError
@@ -377,10 +374,6 @@ class Parametric(Distribution):
         return True
 
     def flat_left_of(self, x: RealLike) -> tuple[bool, float | None]:
-        if not self.strictly_increasing:
-            raise NotImplementedError(
-                "flatness detection needs a strictly increasing family"
-            )
         lo, hi = self.support_bounds()
         x = float(x)
         if x <= lo:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,13 @@ DIRECT_BISECTION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Mixing weight q plus the two component distributions."""
+    """Mixing weight q plus the two component distributions.
+
+    For a piecewise pair the exact merged distribution is built once, on the
+    first read of ``merged``, and reused by every later direct inversion and
+    level choice on the same spec.  It is not a field, so ``==`` and
+    ``hash`` still compare only ``q``, ``x`` and ``y``.
+    """
 
     q: Fraction
     x: Distribution
@@ -58,6 +65,11 @@ class MixtureSpec:
     @property
     def is_parametric_pair(self) -> bool:
         return not self.x.is_exact and not self.y.is_exact
+
+    @cached_property
+    def merged(self) -> Piecewise:
+        """``merged_distribution(self)``, built on first use and then reused."""
+        return merged_distribution(self)
 
     def swapped(self) -> "MixtureSpec":
         """The same mixture with the component roles exchanged."""
@@ -79,6 +91,13 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
     Coincident atoms merge into one atom with the scaled masses summed, and
     overlapping segments are split on each other's endpoints so the result
     satisfies the disjoint-interior invariant.
+
+    The segments come from one sweep over the sorted segment endpoints of
+    both components, with one pointer per component.  A component's segments
+    are sorted with disjoint interiors, so at most one of them covers each
+    interval between consecutive cuts, and each pointer only moves forward.
+    With n and m segments this costs O((n+m) log(n+m)), the sort.  The
+    result is rebuilt on every call; ``MixtureSpec.merged`` keeps one.
     """
     if not m.is_exact:
         raise ValueError("merged_distribution needs two piecewise components")
@@ -92,27 +111,32 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
         for loc, mass in comp.atoms:
             atoms[loc] = atoms.get(loc, Fraction(0)) + weight * mass
 
-    scaled = [
-        (left, right, weight * rise)
+    # Per component: (left, right, scaled density), sorted by left.
+    sides = [
+        [(left, right, weight * rise / (right - left)) for left, right, rise in comp.segments]
         for weight, comp in ((m.q, m.x), (1 - m.q, m.y))
-        for left, right, rise in comp.segments
     ]
-    cuts = sorted({e for left, right, _ in scaled for e in (left, right)})
+    cuts = sorted({e for side in sides for left, right, _ in side for e in (left, right)})
+    heads = [0] * len(sides)
     segments = []
     for lo, hi in zip(cuts, cuts[1:]):
-        rise = sum(
-            (h * (hi - lo) / (r - l) for l, r, h in scaled if l <= lo and hi <= r),
-            Fraction(0),
-        )
-        if rise:
-            segments.append((lo, hi, rise))
+        density = Fraction(0)
+        for k, side in enumerate(sides):
+            i = heads[k]
+            while i < len(side) and side[i][1] <= lo:
+                i += 1
+            heads[k] = i
+            if i < len(side) and side[i][0] <= lo:
+                density += side[i][2]
+        if density:
+            segments.append((lo, hi, density * (hi - lo)))
     return Piecewise(sorted(atoms.items()), segments)
 
 
 def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
     """inf {x : mixture_cdf(m, x) >= p} by direct inversion of the mixture CDF.
 
-    Exact for piecewise pairs (via the merged distribution); for parametric
+    Exact for piecewise pairs (via the memoised ``m.merged``); for parametric
     pairs the leftmost crossing is found by monotone bracketing and bisection
     to width ``DIRECT_BISECTION_TOL``.  Mixed piecewise/parametric pairs are
     rejected; route those through the grid oracle instead.
@@ -125,7 +149,7 @@ def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
     if m.q == 0:
         return m.y.quantile(p)
     if m.is_exact:
-        return merged_distribution(m).quantile(p)
+        return m.merged.quantile(p)
     if not m.is_parametric_pair:
         raise ValueError(
             "direct inversion supports piecewise or parametric pairs, not mixed ones"

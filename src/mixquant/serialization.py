@@ -11,11 +11,13 @@ integers, or "n/d" ratio strings; they parse exactly into rationals, and
 scientific notation or raw JSON floats are rejected so no precision is lost
 silently.  Serialization emits a plain decimal string whenever the rational
 is decimal-representable and the "n/d" form otherwise, making parse and
-serialize exact inverses.  Parametric parameters are ordinary floats.
+serialize exact inverses.  Parametric parameters are ordinary floats and
+must be finite.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -110,16 +112,18 @@ def extended_to_string(value) -> str:
 
 
 def _parse_float(value, where: str) -> float:
+    """A finite float parameter; infinities and NaN are rejected."""
     if isinstance(value, bool):
         raise SpecParseError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value.strip())
-        except ValueError:
-            raise SpecParseError(f"{where}: cannot parse {value!r} as a number") from None
-    raise SpecParseError(f"{where}: expected a number, got {type(value).__name__}")
+    if not isinstance(value, (int, float, str)):
+        raise SpecParseError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value.strip() if isinstance(value, str) else value)
+    except (ValueError, OverflowError):
+        raise SpecParseError(f"{where}: cannot parse {value!r} as a number") from None
+    if not math.isfinite(number):
+        raise SpecParseError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _require_fields(obj: dict, kind: str, fields: tuple[str, ...]) -> None:

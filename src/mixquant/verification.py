@@ -37,8 +37,8 @@ from .distributions import (
     Uniform,
     as_fraction,
 )
-from .mixture import MixtureSpec, direct_quantile, merged_distribution, mixture_cdf, \
-    mixture_cdf_left_limit, sample
+from .mixture import MixtureSpec, direct_quantile, mixture_cdf, mixture_cdf_left_limit, \
+    sample
 from .split import QuantileSolution, split_quantile
 
 __all__ = [
@@ -224,7 +224,7 @@ def _choose_level(
     rng: np.random.Generator, m: MixtureSpec, cfg: InstanceGenConfig
 ) -> Fraction:
     """A level in (0, 1), biased toward the mixture CDF's own critical levels."""
-    pieces = merged_distribution(m).quantile_pieces()
+    pieces = m.merged.quantile_pieces()
     boundary = sorted(
         {lev for piece in pieces for lev in (piece.lev_lo, piece.lev_hi) if 0 < lev < 1}
     )

@@ -140,6 +140,17 @@ def test_curve_writes_exact_tables(spec_file, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_curve_merges_an_exact_mixture_once(spec_file, tmp_path, merge_counter):
+    doc = {
+        "q": "1/3",
+        "X": {"kind": "piecewise", "atoms": [["0", "1/4"]], "segments": [["0", "2", "3/4"]]},
+        "Y": {"kind": "piecewise", "atoms": [["1", "1/2"]], "segments": [["-1", "1", "1/2"]]},
+    }
+    argv = ["curve", "--spec", spec_file(doc), "--from", "-2", "--to", "3", "--steps", "16"]
+    assert main(argv + ["--out", str(tmp_path / "curve.csv")]) == 0
+    assert len(merge_counter) == 1
+
+
 def test_curve_rejects_a_bad_grid(spec_file, tmp_path):
     spec = spec_file(TWO_ATOMS)
     out = str(tmp_path / "curve.csv")
@@ -215,6 +226,21 @@ def test_unknown_field_exits_2(spec_file):
 def test_missing_file_exits_2(tmp_path):
     path = str(tmp_path / "nope.json")
     assert main(["quantile", "--spec", path, "--p", "0.5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        {"kind": "uniform", "a": "-inf", "b": 1},
+        {"kind": "normal", "mu": "inf", "sigma": 1},
+        {"kind": "exponential", "rate": "inf"},
+        {"kind": "normal", "mu": "nan", "sigma": 1},
+    ],
+)
+def test_non_finite_parameter_exits_2(spec_file, capsys, component):
+    doc = {"q": "0.5", "X": component, "Y": {"kind": "normal", "mu": 0, "sigma": 1}}
+    assert main(["quantile", "--spec", spec_file(doc), "--p", "0.5"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_out_of_range_level_exits_3(spec_file, capsys):

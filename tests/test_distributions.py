@@ -20,7 +20,7 @@ from mixquant.distributions import (
     as_fraction,
 )
 
-from reference import ref_cdf, ref_cdf_left, ref_quantile
+from reference import breakpoints, ref_cdf, ref_cdf_left, ref_flat_left_of, ref_quantile
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -103,6 +103,13 @@ def test_flatness_witnesses():
     assert flat and witness < 0 and d.cdf(witness) == 0
     flat, witness = d.flat_left_of(F(3, 2))
     assert not flat and witness is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise_dists(), points, st.data())
+def test_flat_left_of_matches_reference(d, x, data):
+    for t in (x, data.draw(st.sampled_from(breakpoints(d)))):
+        assert d.flat_left_of(t) == ref_flat_left_of(d, t)
 
 
 def test_continuity_detection():

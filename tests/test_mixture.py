@@ -17,8 +17,9 @@ from mixquant.mixture import (
     numeric_quantile,
     sample,
 )
+from mixquant.verification import InstanceGenConfig, generate_instance
 
-from reference import ref_cdf, ref_quantile
+from reference import ref_cdf, ref_merged, ref_quantile
 from test_distributions import levels, piecewise_dists, points
 
 # ---------------------------------------------------------------------------
@@ -75,6 +76,34 @@ def test_merged_handles_coincident_features():
     assert merged.cdf(3) == 1
     # atom masses add across components
     assert dict(merged.atoms)[F(0)] == F(1, 2) * F(1, 2) + F(1, 2) * F(1, 4)
+
+
+Q_GRID = [F(0), F(1, 4), F(1, 3), F(1, 2), F(4, 5), F(1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise_dists(), piecewise_dists(), st.sampled_from(Q_GRID))
+def test_merged_distribution_equals_reference_merge(x, y, q):
+    m = MixtureSpec(q, x, y)
+    merged = merged_distribution(m)
+    assert (merged.atoms, merged.segments) == ref_merged(m)
+
+
+def test_merged_distribution_equals_reference_merge_on_generated_instances():
+    cfg = InstanceGenConfig(seed=2024)
+    for index in range(500):
+        m, _ = generate_instance(cfg, index)
+        merged = merged_distribution(m)
+        assert (merged.atoms, merged.segments) == ref_merged(m), f"instance {index}"
+
+
+def test_memoised_merge_leaves_equality_and_hash_alone():
+    x, y = Piecewise.uniform(0, 2), Piecewise.empirical([1, 3])
+    m = MixtureSpec(F(1, 3), x, y)
+    twin = MixtureSpec(F(1, 3), x, y)
+    assert m.merged is m.merged
+    assert m.merged == merged_distribution(twin)
+    assert m == twin and hash(m) == hash(twin)
 
 
 def test_merged_requires_piecewise_pair():

@@ -145,6 +145,15 @@ def test_generated_levels_and_weights_stay_in_range():
         assert 0 < m.q < 1
 
 
+def test_generate_and_cross_check_share_one_merge(merge_counter):
+    cfg = InstanceGenConfig(seed=5)
+    for index in range(40):
+        m, p = generate_instance(cfg, index)
+        assert cross_check(m, p).passed
+        assert merge_counter == [m], f"instance {index}"
+        merge_counter.clear()
+
+
 # ---------------------------------------------------------------------------
 # cross-check harness
 # ---------------------------------------------------------------------------
