@@ -16,7 +16,7 @@ mixture CDF's left limit at s_p falls short of p or hits it exactly.
 
 Every cell asserts a small set of exact relations tying alpha*, beta*, and
 s_p to the component CDFs and inverses; ``verify_cell_relations`` evaluates
-them (exactly for piecewise pairs, at tolerance ``RELATION_TOL`` otherwise).
+them (exactly for piecewise pairs, within ``FLOAT_TOL`` otherwise).
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .distributions import DomainError, ExtendedReal, RealLike, as_fraction
+from .distributions import DomainError, ExtendedReal, RealLike, as_fraction, close, leq
 from .mixture import MixtureSpec, mixture_cdf_left_limit
 from .split import QuantileSolution, split_quantile
 
 __all__ = [
-    "RELATION_TOL",
     "SUBCASE_LT",
     "SUBCASE_EQ",
     "BRANCHING_CELLS",
@@ -41,9 +40,6 @@ __all__ = [
     "classify",
     "verify_cell_relations",
 ]
-
-#: Absolute tolerance for relation checks on parametric components.
-RELATION_TOL = 1e-9
 
 SUBCASE_LT = "F_S(sp-)<p"
 SUBCASE_EQ = "F_S(sp-)=p"
@@ -164,12 +160,11 @@ def classify(
     subcase = None
     if (f_case, g_case) in BRANCHING_CELLS:
         left_limit = mixture_cdf_left_limit(m, s_p)
-        tol = 0 if m.is_exact else RELATION_TOL
-        if left_limit > p + tol:
+        if not leq(left_limit, p, m.is_exact):
             raise InternalContradictionError(
                 f"mixture CDF left limit {left_limit} exceeds p={p} at s_p={s_p}"
             )
-        subcase = SUBCASE_EQ if _matches(left_limit, p, tol) else SUBCASE_LT
+        subcase = SUBCASE_EQ if close(left_limit, p, m.is_exact) else SUBCASE_LT
 
     report = ClassificationReport(
         label=CaseLabel(f_case, g_case, subcase),
@@ -179,29 +174,6 @@ def classify(
     )
     report.relations_checked = verify_cell_relations(report, solution, m, p)
     return report
-
-
-def _matches(a, b, tol) -> bool:
-    if a == b:
-        return True
-    if tol == 0:
-        return False
-    try:
-        return abs(float(a) - float(b)) <= tol
-    except OverflowError:
-        return False
-
-
-def _exceeds(a, b, tol) -> bool:
-    """Strictly greater, by more than tol when tolerant."""
-    if tol == 0:
-        return a > b
-    if a == b:
-        return False
-    fa, fb = float(a), float(b)
-    if fa == float("inf") or fb == float("-inf"):
-        return fa > fb
-    return fa > fb + tol
 
 
 # The relations each cell asserts.  Tokens: aF = alpha* equals F(s_p),
@@ -254,33 +226,33 @@ def verify_cell_relations(
 ) -> list[RelationCheck]:
     """Evaluate every relation the report's cell asserts.
 
-    Equalities and strict inequalities are exact for piecewise pairs and use
-    ``RELATION_TOL`` otherwise.  Unknown cells (the impossible ones) raise.
+    Equalities and strict inequalities are exact for piecewise pairs and hold
+    within ``FLOAT_TOL`` otherwise.  Unknown cells (the impossible ones) raise.
     """
     label = report.label
     key = (label.f_case, label.g_case, label.subcase)
     if key not in _CELL_RELATIONS:
         raise InternalContradictionError(f"no relations defined for cell {label.cell_id}")
-    tol = 0 if m.is_exact else RELATION_TOL
+    exact = m.is_exact
     s_p = solution.s_p
     values = {
-        "aF": lambda: _matches(solution.alpha_star, m.x.cdf(s_p), tol),
-        "bG": lambda: _matches(solution.beta_star, m.y.cdf(s_p), tol),
-        "x=": lambda: _matches(s_p, m.x.quantile(solution.alpha_star), tol),
-        "y=": lambda: _matches(s_p, m.y.quantile(solution.beta_star), tol),
-        "x>": lambda: _exceeds(s_p, m.x.quantile(solution.alpha_star), tol),
-        "y>": lambda: _exceeds(s_p, m.y.quantile(solution.beta_star), tol),
+        "aF": lambda: close(solution.alpha_star, m.x.cdf(s_p), exact),
+        "bG": lambda: close(solution.beta_star, m.y.cdf(s_p), exact),
+        "x=": lambda: close(s_p, m.x.quantile(solution.alpha_star), exact),
+        "y=": lambda: close(s_p, m.y.quantile(solution.beta_star), exact),
+        "x>": lambda: not leq(s_p, m.x.quantile(solution.alpha_star), exact),
+        "y>": lambda: not leq(s_p, m.y.quantile(solution.beta_star), exact),
     }
     checks = []
     for token in _CELL_RELATIONS[key]:
         if token == "x@":
-            above = _exceeds(solution.alpha_star, m.x.cdf_left_limit(s_p), tol)
+            above = not leq(solution.alpha_star, m.x.cdf_left_limit(s_p), exact)
             token = "x=" if above else "x>"
             text = _RELATION_TEXT[token] + (
                 " [alpha_star > F(s_p-)]" if above else " [alpha_star = F(s_p-)]"
             )
         elif token == "y@":
-            above = _exceeds(solution.beta_star, m.y.cdf_left_limit(s_p), tol)
+            above = not leq(solution.beta_star, m.y.cdf_left_limit(s_p), exact)
             token = "y=" if above else "y>"
             text = _RELATION_TEXT[token] + (
                 " [beta_star > G(s_p-)]" if above else " [beta_star = G(s_p-)]"

@@ -21,10 +21,10 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "NEG_INF",
@@ -33,6 +33,9 @@ __all__ = [
     "RealLike",
     "DomainError",
     "as_fraction",
+    "FLOAT_TOL",
+    "leq",
+    "close",
     "QuantilePiece",
     "Distribution",
     "Piecewise",
@@ -66,6 +69,34 @@ def as_fraction(value: RealLike) -> Fraction:
     return Fraction(value)
 
 
+#: Absolute tolerance of float comparisons; exact pairs compare exactly.
+FLOAT_TOL = 1e-9
+
+
+def leq(a: ExtendedReal, b: ExtendedReal, exact: bool) -> bool:
+    """a <= b: exactly when ``exact``, else within ``FLOAT_TOL``."""
+    if a <= b:
+        return True
+    if exact:
+        return False
+    try:
+        return float(a) <= float(b) + FLOAT_TOL
+    except OverflowError:
+        return False
+
+
+def close(a: ExtendedReal, b: ExtendedReal, exact: bool) -> bool:
+    """a == b: exactly when ``exact``, else within ``FLOAT_TOL``."""
+    if a == b:
+        return True
+    if exact:
+        return False
+    try:
+        return abs(float(a) - float(b)) <= FLOAT_TOL
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True, slots=True)
 class QuantilePiece:
     """One stretch of a generalized inverse.
@@ -84,13 +115,6 @@ class QuantilePiece:
             return self.x_left
         scale = (self.x_right - self.x_left) / (self.lev_hi - self.lev_lo)
         return self.x_left + (p - self.lev_lo) * scale
-
-    def as_affine(self) -> tuple[Fraction, Fraction]:
-        """Intercept/slope pair so that value(t) = intercept + slope * t."""
-        if self.x_left == self.x_right:
-            return self.x_left, Fraction(0)
-        slope = (self.x_right - self.x_left) / (self.lev_hi - self.lev_lo)
-        return self.x_left - slope * self.lev_lo, slope
 
 
 class Distribution:
@@ -222,13 +246,17 @@ class Piecewise(Distribution):
         self._crit = crit
 
         # Density of the unique segment covering each open gap (crit[i], crit[i+1]).
+        # Segments are sorted with disjoint interiors and crit holds both ends
+        # of each, so one forward pointer visits every covered gap once.
         density = [Fraction(0)] * (len(crit) - 1) if len(crit) > 1 else []
+        j = 0
         for left, right, rise in self.segments:
             d = rise / (right - left)
-            lo = bisect.bisect_left(crit, left)
-            hi = bisect.bisect_left(crit, right)
-            for j in range(lo, hi):
+            while crit[j] < left:
+                j += 1
+            while crit[j] < right:
                 density[j] = d
+                j += 1
         self._gap_density = density
 
         f_minus: list[Fraction] = []
@@ -248,7 +276,7 @@ class Piecewise(Distribution):
                 cum += gap_rise
         self._f_minus = f_minus
         self._f_plus = f_plus
-        self._pieces = pieces
+        self._pieces = tuple(pieces)
         self._piece_lev_his = [piece.lev_hi for piece in pieces]
 
     # -- queries ---------------------------------------------------------------
@@ -305,7 +333,7 @@ class Piecewise(Distribution):
 
     def quantile_pieces(self) -> tuple[QuantilePiece, ...]:
         """The affine stretches of the generalized inverse, in level order."""
-        return tuple(self._pieces)
+        return self._pieces
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         weights = np.array(
@@ -409,6 +437,14 @@ class Uniform(Parametric):
         return rng.uniform(self.a, self.b, size=n)
 
 
+_STD_NORMAL = NormalDist()
+
+
+def _std_normal_cdf(z: float) -> float:
+    # erfc keeps full relative precision in the lower tail, unlike 1 + erf.
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
 @dataclass(frozen=True)
 class Normal(Parametric):
     mu: float
@@ -419,10 +455,10 @@ class Normal(Parametric):
             raise ValueError(f"normal needs sigma > 0, got {self.sigma}")
 
     def _cdf(self, x: float) -> float:
-        return float(ndtr((x - self.mu) / self.sigma))
+        return _std_normal_cdf((x - self.mu) / self.sigma)
 
     def _quantile_inner(self, p: float) -> float:
-        return self.mu + self.sigma * float(ndtri(p))
+        return self.mu + self.sigma * _STD_NORMAL.inv_cdf(p)
 
     def support_bounds(self) -> tuple[float, float]:
         return NEG_INF, POS_INF
@@ -466,10 +502,10 @@ class LogNormal(Parametric):
     def _cdf(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
-        return float(ndtr((math.log(x) - self.mu) / self.sigma))
+        return _std_normal_cdf((math.log(x) - self.mu) / self.sigma)
 
     def _quantile_inner(self, p: float) -> float:
-        return math.exp(self.mu + self.sigma * float(ndtri(p)))
+        return math.exp(self.mu + self.sigma * _STD_NORMAL.inv_cdf(p))
 
     def support_bounds(self) -> tuple[float, float]:
         return 0.0, POS_INF

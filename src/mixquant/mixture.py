@@ -30,6 +30,7 @@ __all__ = [
     "merged_distribution",
     "direct_quantile",
     "numeric_quantile",
+    "bisect_float",
     "sample",
     "DIRECT_BISECTION_TOL",
 ]
@@ -189,15 +190,25 @@ def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
         step *= 2.0
     else:
         raise ArithmeticError("could not bracket the mixture quantile from below")
-    while hi - lo > DIRECT_BISECTION_TOL:
+    return bisect_float(reached, lo, hi, DIRECT_BISECTION_TOL)[1]
+
+
+def bisect_float(pred, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Shrink ``[lo, hi]`` around the flip of a monotone ``pred``.
+
+    ``pred`` must be false at ``lo`` and true at ``hi``; both stay so.  Stops
+    once the bracket is no wider than ``width`` or its midpoint rounds onto
+    an end, whichever comes first.
+    """
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if reached(mid):
+        if pred(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
 
 
 def sample(m: MixtureSpec, n: int, seed: int) -> np.ndarray:

@@ -8,9 +8,9 @@ at p equals
 where alpha* is the infimum of the alpha in the feasible range whose split
 satisfies the ordering Qx(alpha) >= Qy(beta(alpha)), and beta* is the
 matching beta.  The ordering predicate is monotone in alpha (Qx rises while
-Qy(beta(alpha)) falls), so the infimum is found exactly for piecewise pairs
-by walking the affine stretches of both generalized inverses, and by
-bisection for parametric components.
+Qy(beta(alpha)) falls), so for piecewise pairs the infimum is found exactly
+by bisecting the level cuts of both generalized inverses down to one cell
+where both are affine, and for parametric components by float bisection.
 
 When the ordering holds nowhere on the feasible range the split clamps to
 the upper end alpha_max; the reported solution is flagged and the max
@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .distributions import (
     DomainError,
@@ -29,28 +30,22 @@ from .distributions import (
     Piecewise,
     RealLike,
     as_fraction,
+    close,
 )
-from .mixture import MixtureSpec
+from .mixture import MixtureSpec, bisect_float
 
 __all__ = [
     "SplitPoint",
     "QuantileSolution",
-    "ATTAIN_TOL",
     "BISECTION_WIDTH",
-    "BISECTION_MAX_ITER",
     "feasible_alpha_range",
     "ordering_predicate",
     "optimal_split",
     "split_quantile",
 ]
 
-#: Absolute tolerance for deciding which component attains the max when any
-#: component is parametric (exact pairs compare exactly).
-ATTAIN_TOL = 1e-9
-
 #: Bisection stops once the bracket on alpha is narrower than this.
 BISECTION_WIDTH = 1e-14
-BISECTION_MAX_ITER = 200
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,8 +86,17 @@ def feasible_alpha_range(q: RealLike, p: RealLike) -> tuple[Fraction, Fraction]:
     return alpha_min, alpha_max
 
 
-def _beta_of(q: Fraction, p: Fraction, alpha):
-    return (p - q * alpha) / (1 - q)
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _beta_of(q: Fraction, p: Fraction, alpha) -> Fraction:
+    """The partner level (p - q*alpha)/(1-q), clamped to [0, 1].
+
+    The clamp only acts on float alphas, which can land an epsilon outside
+    the feasible range; exact feasible alphas pass through unchanged.
+    """
+    beta = (p - q * as_fraction(alpha)) / (1 - q)
+    return min(max(beta, _ZERO), _ONE)
 
 
 def ordering_predicate(m: MixtureSpec, p: RealLike, alpha: RealLike) -> bool:
@@ -108,8 +112,7 @@ def ordering_predicate(m: MixtureSpec, p: RealLike, alpha: RealLike) -> bool:
         raise DomainError(
             f"alpha must lie in the feasible range [{alpha_min}, {alpha_max}], got {alpha}"
         )
-    beta = _beta_of(m.q, p, alpha)
-    return m.x.quantile(alpha) >= m.y.quantile(beta)
+    return m.x.quantile(alpha) >= m.y.quantile(_beta_of(m.q, p, alpha))
 
 
 def optimal_split(m: MixtureSpec, p: RealLike) -> SplitPoint:
@@ -138,88 +141,81 @@ def split_quantile(m: MixtureSpec, p: RealLike) -> QuantileSolution:
     qx = m.x.quantile(alpha)
     qy = m.y.quantile(beta)
     s_p = max(qx, qy)
-    if m.is_exact:
-        x_attains = qx == s_p
-        y_attains = qy == s_p
-    else:
-        x_attains = _close(qx, s_p)
-        y_attains = _close(qy, s_p)
+    x_attains = close(qx, s_p, m.is_exact)
+    y_attains = close(qy, s_p, m.is_exact)
     return QuantileSolution(s_p, alpha, beta, x_attains, y_attains, clamped)
-
-
-def _close(a: ExtendedReal, b: ExtendedReal) -> bool:
-    if a == b:
-        return True
-    try:
-        return abs(float(a) - float(b)) <= ATTAIN_TOL
-    except OverflowError:
-        return False
 
 
 def _solve_split(m: MixtureSpec, p: Fraction):
     """Returns (alpha*, beta*, clamped) for 0 < q < 1."""
+    q = m.q
+    alpha_min, alpha_max = feasible_alpha_range(q, p)
+
+    def holds(alpha) -> bool:
+        return m.x.quantile(alpha) >= m.y.quantile(_beta_of(q, p, alpha))
+
+    if holds(alpha_min):
+        return alpha_min, _beta_of(q, p, alpha_min), False
+    if not holds(alpha_max):
+        # Ordering holds nowhere on the feasible range: clamp to the top.
+        return alpha_max, _beta_of(q, p, alpha_max), True
+    # From here on the predicate is false at alpha_min and true at alpha_max.
     if m.is_exact:
-        return _solve_split_exact(m, p)
-    return _solve_split_numeric(m, p)
+        alpha = _solve_split_exact(m, p, holds, alpha_min, alpha_max)
+        return alpha, _beta_of(q, p, alpha), False
+    alpha = _solve_split_numeric(m, p, holds, alpha_min, alpha_max)
+    return alpha, float(_beta_of(q, p, alpha)), False
 
 
 # -- exact path ----------------------------------------------------------------
 
-
-def _level_cuts(d: Piecewise) -> list[Fraction]:
-    """All level boundaries of the generalized inverse, including 0 and 1."""
-    cuts = [Fraction(0)]
-    cuts.extend(piece.lev_hi for piece in d.quantile_pieces())
-    return cuts
+_LEV_HI = attrgetter("lev_hi")
 
 
 def _piece_at(d: Piecewise, level: Fraction):
     """The affine stretch whose half-open level range contains ``level``."""
     pieces = d.quantile_pieces()
-    idx = bisect.bisect_left([piece.lev_hi for piece in pieces], level)
-    return pieces[idx]
+    return pieces[bisect.bisect_left(pieces, level, key=_LEV_HI)]
 
 
-def _solve_split_exact(m: MixtureSpec, p: Fraction):
+def _cuts_inside(d: Piecewise, lo: Fraction, hi: Fraction) -> range:
+    """Indexes of the pieces whose top level cut lies strictly inside (lo, hi)."""
+    pieces = d.quantile_pieces()
+    return range(
+        bisect.bisect_right(pieces, lo, key=_LEV_HI),
+        bisect.bisect_left(pieces, hi, key=_LEV_HI),
+    )
+
+
+def _solve_split_exact(m: MixtureSpec, p: Fraction, holds, a_lo: Fraction, a_hi: Fraction):
+    """Infimum of the ordering set, given it fails at a_lo and holds at a_hi.
+
+    Narrows the bracket to the consecutive X level cuts around the flip,
+    then to the consecutive Y level cuts inside that, mapped to alpha; what
+    remains is one cell on which both inverses are affine.
+    """
     q = m.q
-    alpha_min, alpha_max = feasible_alpha_range(q, p)
+    x_pieces = m.x.quantile_pieces()
+    idx = _cuts_inside(m.x, a_lo, a_hi)
+    k = bisect.bisect_left(idx, True, key=lambda i: holds(x_pieces[i].lev_hi))
+    if k < len(idx):
+        a_hi = x_pieces[idx[k]].lev_hi
+    if k > 0:
+        a_lo = x_pieces[idx[k - 1]].lev_hi
 
-    def beta_of(alpha: Fraction) -> Fraction:
-        return (p - q * alpha) / (1 - q)
+    # alpha = (p - (1-q)c)/q falls as the Y cut c rises, so along rising
+    # cuts the predicate runs true, then false.
+    def alpha_of(cut: Fraction) -> Fraction:
+        return (p - (1 - q) * cut) / q
 
-    def holds(alpha: Fraction) -> bool:
-        return m.x.quantile(alpha) >= m.y.quantile(beta_of(alpha))
-
-    # Candidate levels where either generalized inverse changes its affine
-    # stretch; between consecutive candidates both sides are affine in alpha.
-    candidates = {alpha_min, alpha_max}
-    for cut in _level_cuts(m.x):
-        if alpha_min <= cut <= alpha_max:
-            candidates.add(cut)
-    for cut in _level_cuts(m.y):
-        alpha = (p - (1 - q) * cut) / q
-        if alpha_min <= alpha <= alpha_max:
-            candidates.add(alpha)
-    grid = sorted(candidates)
-
-    # The predicate is monotone (false then true), so binary-search the grid
-    # for the first candidate where it holds.
-    lo, hi = 0, len(grid)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(grid[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo == len(grid):
-        # Ordering holds nowhere on the feasible range: clamp to the top.
-        return alpha_max, beta_of(alpha_max), True
-    if lo == 0:
-        return grid[0], beta_of(grid[0]), False
-
-    a_lo, a_hi = grid[lo - 1], grid[lo]
-    alpha = _refine_cell(m, p, a_lo, a_hi)
-    return alpha, beta_of(alpha), False
+    y_pieces = m.y.quantile_pieces()
+    idx = _cuts_inside(m.y, _beta_of(q, p, a_hi), _beta_of(q, p, a_lo))
+    k = bisect.bisect_left(idx, True, key=lambda i: not holds(alpha_of(y_pieces[i].lev_hi)))
+    if k < len(idx):
+        a_lo = alpha_of(y_pieces[idx[k]].lev_hi)
+    if k > 0:
+        a_hi = alpha_of(y_pieces[idx[k - 1]].lev_hi)
+    return _refine_cell(m, p, a_lo, a_hi)
 
 
 def _refine_cell(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Fraction) -> Fraction:
@@ -232,49 +228,33 @@ def _refine_cell(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Fraction) ->
     """
     q = m.q
     mid = (a_lo + a_hi) / 2
-    x_int, x_slope = _piece_at(m.x, mid).as_affine()
-    beta_mid = (p - q * mid) / (1 - q)
-    y_int, y_slope = _piece_at(m.y, beta_mid).as_affine()
-    # Qy(beta(alpha)) = y_int + y_slope*(p - q*alpha)/(1-q)
-    d_int = x_int - y_int - y_slope * p / (1 - q)
-    d_slope = x_slope + y_slope * q / (1 - q)
-    if d_int + d_slope * a_lo >= 0:
+    px = _piece_at(m.x, mid)
+    py = _piece_at(m.y, _beta_of(q, p, mid))
+
+    def d(alpha: Fraction) -> Fraction:
+        return px.value_at(alpha) - py.value_at(_beta_of(q, p, alpha))
+
+    d_lo = d(a_lo)
+    if d_lo >= 0:
         return a_lo
-    if d_slope > 0:
-        root = -d_int / d_slope
-        if root < a_hi:
-            return root
+    d_hi = d(a_hi)
+    if d_hi > 0:
+        return a_lo - d_lo * (a_hi - a_lo) / (d_hi - d_lo)
     return a_hi
 
 
 # -- numeric path ----------------------------------------------------------------
 
 
-def _solve_split_numeric(m: MixtureSpec, p: Fraction):
-    q = m.q
-    alpha_min, alpha_max = feasible_alpha_range(q, p)
+def _solve_split_numeric(m: MixtureSpec, p: Fraction, holds, a_lo: Fraction, a_hi: Fraction):
+    """Float bisection for alpha*, given the ordering fails at a_lo and holds at a_hi."""
 
-    def beta_of(alpha):
-        # float alphas near the range ends can push this epsilon outside [0, 1]
-        return min(max((p - q * as_fraction(alpha)) / (1 - q), Fraction(0)), Fraction(1))
+    def objective(alpha) -> float:
+        return max(m.x.quantile(alpha), m.y.quantile(_beta_of(m.q, p, alpha)))
 
-    def holds(alpha) -> bool:
-        return m.x.quantile(alpha) >= m.y.quantile(beta_of(alpha))
-
-    if holds(alpha_min):
-        return alpha_min, beta_of(alpha_min), False
-    if not holds(alpha_max):
-        return alpha_max, beta_of(alpha_max), True
-    lo, hi = float(alpha_min), float(alpha_max)
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    alpha = hi
-    return alpha, float(beta_of(alpha)), False
+    lo, hi = bisect_float(holds, float(a_lo), float(a_hi), BISECTION_WIDTH)
+    # Every feasible alpha has F_S(max{Qx(alpha), Qy(beta(alpha))}) >= p, so
+    # the bracket end with the smaller max gives the better quantile.  It is
+    # lo when the infimum is not attained, e.g. where Qx jumps up from -inf
+    # at level 0 and the bracket never leaves it.
+    return lo if objective(lo) < objective(hi) else hi

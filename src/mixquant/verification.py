@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr
 
 from .classify import ClassificationReport, InternalContradictionError, classify
 from .distributions import (
@@ -36,13 +35,14 @@ from .distributions import (
     Piecewise,
     Uniform,
     as_fraction,
+    close,
+    leq,
 )
 from .mixture import MixtureSpec, direct_quantile, mixture_cdf, mixture_cdf_left_limit, \
     sample
 from .split import QuantileSolution, split_quantile
 
 __all__ = [
-    "PARAMETRIC_AGREE_TOL",
     "GRID_FLOAT_SLACK",
     "GridOracleConfig",
     "InstanceGenConfig",
@@ -54,9 +54,6 @@ __all__ = [
     "cross_check",
     "run_suite",
 ]
-
-#: Split path and direct inversion must agree to this for parametric pairs.
-PARAMETRIC_AGREE_TOL = 1e-9
 
 #: Slack added to grid comparisons to absorb float CDF evaluation error.
 GRID_FLOAT_SLACK = 1e-9
@@ -109,10 +106,14 @@ def _cdf_grid(d: Distribution, xs: np.ndarray) -> np.ndarray:
     if isinstance(d, Uniform):
         return np.clip((xs - d.a) / (d.b - d.a), 0.0, 1.0)
     if isinstance(d, Normal):
+        from scipy.special import ndtr
+
         return ndtr((xs - d.mu) / d.sigma)
     if isinstance(d, Exponential):
         return np.where(xs > 0.0, -np.expm1(-d.rate * np.maximum(xs, 0.0)), 0.0)
     if isinstance(d, LogNormal):
+        from scipy.special import ndtr
+
         safe = np.where(xs > 0.0, xs, 1.0)
         return np.where(xs > 0.0, ndtr((np.log(safe) - d.mu) / d.sigma), 0.0)
     raise ValueError(f"no grid CDF for distribution type {type(d).__name__}")
@@ -384,17 +385,6 @@ class CheckReport:
         }
 
 
-def _leq(a, b, tol) -> bool:
-    if a <= b:
-        return True
-    if tol == 0:
-        return False
-    try:
-        return float(a) <= float(b) + tol
-    except OverflowError:
-        return False
-
-
 def cross_check(
     m: MixtureSpec, p, grid_cfg: GridOracleConfig | None = None
 ) -> CheckReport:
@@ -409,7 +399,6 @@ def cross_check(
     sol = split_quantile(m, p)
     s_p = sol.s_p
     exact = m.is_exact
-    tol = 0 if exact else PARAMETRIC_AGREE_TOL
 
     # Dual route: direct CDF inversion.
     direct_value = exact_match = deviation = None
@@ -421,7 +410,7 @@ def cross_check(
                 failures.append(f"split {s_p} != direct {direct_value}")
         else:
             deviation = abs(float(s_p) - float(direct_value))
-            if not deviation <= PARAMETRIC_AGREE_TOL:
+            if not close(s_p, direct_value, exact):
                 failures.append(f"split/direct deviation {deviation:.3e}")
 
     # Grid oracle.
@@ -452,7 +441,7 @@ def cross_check(
     # Sandwich: F_S(s_p-) <= p <= F_S(s_p).
     left = mixture_cdf_left_limit(m, s_p)
     right = mixture_cdf(m, s_p)
-    sandwich_ok = _leq(left, p, tol) and _leq(p, right, tol)
+    sandwich_ok = leq(left, p, exact) and leq(p, right, exact)
     if not sandwich_ok:
         failures.append(f"sandwich {left} <= {p} <= {right} violated")
 
@@ -470,10 +459,10 @@ def cross_check(
         fx_left, fx_right = m.x.cdf_left_limit(s_p), m.x.cdf(s_p)
         gy_left, gy_right = m.y.cdf_left_limit(s_p), m.y.cdf(s_p)
         bracketing_ok = (
-            _leq(fx_left, sol.alpha_star, tol)
-            and _leq(sol.alpha_star, fx_right, tol)
-            and _leq(gy_left, sol.beta_star, tol)
-            and _leq(sol.beta_star, gy_right, tol)
+            leq(fx_left, sol.alpha_star, exact)
+            and leq(sol.alpha_star, fx_right, exact)
+            and leq(gy_left, sol.beta_star, exact)
+            and leq(sol.beta_star, gy_right, exact)
         )
         if not bracketing_ok:
             failures.append(
@@ -486,10 +475,7 @@ def cross_check(
     # Swap symmetry: the mixture with roles exchanged has the same quantile,
     # and its classification is the transposed cell.
     swapped_sol = split_quantile(m.swapped(), p)
-    if exact:
-        swap_ok = swapped_sol.s_p == s_p
-    else:
-        swap_ok = abs(float(swapped_sol.s_p) - float(s_p)) <= PARAMETRIC_AGREE_TOL
+    swap_ok = close(swapped_sol.s_p, s_p, exact)
     if not swap_ok:
         failures.append(f"swapped quantile {swapped_sol.s_p} != {s_p}")
     transpose_ok = None

@@ -108,3 +108,74 @@ def ref_merged(m):
         if rise:
             segments.append((lo, hi, rise))
     return tuple(sorted(atoms.items())), tuple(segments)
+
+
+def ref_solve_split(m, p):
+    """``(alpha*, beta*, clamped)`` for an exact pair by a sorted candidate grid.
+
+    Every level where either generalized inverse changes its affine stretch,
+    Y's mapped to alpha, goes into one sorted grid; a binary search finds the
+    first candidate where the ordering holds, and the cell just below it is
+    solved as a line.  Needs 0 < q < 1 and 0 < p < 1.
+    """
+    q = m.q
+    alpha_min = max(Fraction(0), (p - (1 - q)) / q)
+    alpha_max = min(Fraction(1), p / q)
+
+    def beta_of(alpha):
+        return (p - q * alpha) / (1 - q)
+
+    def holds(alpha):
+        return m.x.quantile(alpha) >= m.y.quantile(beta_of(alpha))
+
+    candidates = {alpha_min, alpha_max}
+    for cut in [Fraction(0)] + [piece.lev_hi for piece in m.x.quantile_pieces()]:
+        if alpha_min <= cut <= alpha_max:
+            candidates.add(cut)
+    for cut in [Fraction(0)] + [piece.lev_hi for piece in m.y.quantile_pieces()]:
+        alpha = (p - (1 - q) * cut) / q
+        if alpha_min <= alpha <= alpha_max:
+            candidates.add(alpha)
+    grid = sorted(candidates)
+
+    lo, hi = 0, len(grid)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(grid[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == len(grid):
+        return alpha_max, beta_of(alpha_max), True
+    if lo == 0:
+        return grid[0], beta_of(grid[0]), False
+
+    a_lo, a_hi = grid[lo - 1], grid[lo]
+    mid = (a_lo + a_hi) / 2
+    x_int, x_slope = _affine(_piece_containing(m.x, mid))
+    y_int, y_slope = _affine(_piece_containing(m.y, beta_of(mid)))
+    # Qx(alpha) - Qy(beta(alpha)) = d_int + d_slope*alpha on the cell
+    d_int = x_int - y_int - y_slope * p / (1 - q)
+    d_slope = x_slope + y_slope * q / (1 - q)
+    if d_int + d_slope * a_lo >= 0:
+        alpha = a_lo
+    elif d_slope > 0 and -d_int / d_slope < a_hi:
+        alpha = -d_int / d_slope
+    else:
+        alpha = a_hi
+    return alpha, beta_of(alpha), False
+
+
+def _piece_containing(d, level):
+    for piece in d.quantile_pieces():
+        if piece.lev_lo < level <= piece.lev_hi:
+            return piece
+    raise ValueError(f"no piece contains level {level}")
+
+
+def _affine(piece):
+    """Intercept and slope of the piece's level-to-value line."""
+    if piece.x_left == piece.x_right:
+        return piece.x_left, Fraction(0)
+    slope = (piece.x_right - piece.x_left) / (piece.lev_hi - piece.lev_lo)
+    return piece.x_left - slope * piece.lev_lo, slope

@@ -1,5 +1,9 @@
 """Mixture CDF assembly, exact merging, and direct quantile inversion."""
 
+import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -22,9 +26,33 @@ from mixquant.verification import InstanceGenConfig, generate_instance
 from reference import ref_cdf, ref_merged, ref_quantile
 from test_distributions import levels, piecewise_dists, points
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
+
+
+def test_import_leaves_out_scipy_and_mixture_leaves_out_split():
+    # scipy only backs the vectorized grid oracle, which imports it on use;
+    # direct inversion stays independent of the split solver.
+    out = subprocess.run(
+        [sys.executable, "-c", "import mixquant, sys; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+    with open(os.path.join(SRC, "mixquant", "mixture.py")) as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name and name.split(".")[-1] == "split"}
 
 
 def test_mixing_weight_is_validated_and_exact():

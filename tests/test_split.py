@@ -2,17 +2,24 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixquant.distributions import DomainError, Normal, Piecewise, Uniform
+from mixquant.distributions import DomainError, Exponential, Normal, Piecewise, Uniform
 from mixquant.mixture import MixtureSpec, direct_quantile
 from mixquant.split import (
+    _solve_split,
     feasible_alpha_range,
     optimal_split,
     ordering_predicate,
     split_quantile,
 )
-from mixquant.verification import InstanceGenConfig, generate_instance
+from mixquant.verification import InstanceGenConfig, cross_check, generate_instance
+
+from reference import ref_solve_split
+from test_distributions import levels, piecewise_dists
 
 # ---------------------------------------------------------------------------
 # feasible range of the x-side level
@@ -171,8 +178,67 @@ def test_predicate_is_monotone_around_the_split_level():
 
 
 # ---------------------------------------------------------------------------
+# the exact solver against the candidate-grid reference
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    piecewise_dists(),
+    piecewise_dists(),
+    st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(4, 5)]),
+    levels.filter(lambda p: p < 1),
+)
+def test_exact_split_equals_reference_on_random_pairs(x, y, q, p):
+    for m in (MixtureSpec(q, x, y), MixtureSpec(1 - q, y, x)):
+        assert _solve_split(m, p) == ref_solve_split(m, p)
+
+
+def test_exact_split_equals_reference_on_generated_instances():
+    cfg = InstanceGenConfig(seed=31)
+    for index in range(500):
+        m, p = generate_instance(cfg, index)
+        for mm in (m, m.swapped()):
+            assert _solve_split(mm, p) == ref_solve_split(mm, p), f"instance {index}"
+
+
+def test_exact_split_equals_reference_on_a_wide_pair():
+    rng = np.random.default_rng(5)
+
+    def adjacent(start, n):
+        # n touching unit segments, plus an atom on every tenth segment end
+        weights = [int(w) for w in rng.integers(1, 9, size=n + n // 10)]
+        total = sum(weights)
+        return Piecewise(
+            [(start + 10 * k, F(w, total)) for k, w in enumerate(weights[n:])],
+            [(start + k, start + k + 1, F(w, total)) for k, w in enumerate(weights[:n])],
+        )
+
+    m = MixtureSpec(F(2, 5), adjacent(F(0), 100), adjacent(F(1, 3), 100))
+    for k in range(1, 21):
+        p = F(k, 21)
+        for mm in (m, m.swapped()):
+            assert _solve_split(mm, p) == ref_solve_split(mm, p), f"level {p}"
+
+
+# ---------------------------------------------------------------------------
 # parametric components
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "m, want",
+    [
+        (MixtureSpec(F(1, 2), Exponential(1), Uniform(-5, -4)), -4.0),
+        (MixtureSpec(F(1, 2), Uniform(2, 3), Uniform(0, 1)), 1.0),
+    ],
+)
+def test_numeric_split_when_the_infimum_is_not_attained(m, want):
+    # Qx jumps up from -inf at level 0, so the ordering holds on all of
+    # (0, alpha_max] but not at 0; s_p comes from the bottom of the bracket.
+    for mm in (m, m.swapped()):
+        assert split_quantile(mm, F(1, 2)).s_p == want
+        assert cross_check(mm, F(1, 2)).failures == ()
 
 
 def test_split_on_normal_pair_agrees_with_direct_inversion():
