@@ -21,6 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from statistics import NormalDist
 from typing import Iterable, Sequence, Union
 
@@ -101,20 +102,28 @@ def close(a: ExtendedReal, b: ExtendedReal, exact: bool) -> bool:
 class QuantilePiece:
     """One stretch of a generalized inverse.
 
-    Maps levels in ``(lev_lo, lev_hi]`` affinely onto ``[x_left, x_right]``.
-    Atoms appear as constant pieces with ``x_left == x_right``.
+    Maps levels in ``(lev_lo, lev_hi]`` affinely onto ``[x_left, x_right]``
+    with ``slope = (x_right - x_left)/(lev_hi - lev_lo)``.  Atoms appear as
+    constant pieces with ``x_left == x_right`` and slope 0.
     """
 
     lev_lo: Fraction
     lev_hi: Fraction
     x_left: Fraction
     x_right: Fraction
+    slope: Fraction
 
     def value_at(self, p: Fraction) -> Fraction:
-        if self.x_left == self.x_right:
+        if not self.slope:
             return self.x_left
-        scale = (self.x_right - self.x_left) / (self.lev_hi - self.lev_lo)
-        return self.x_left + (p - self.lev_lo) * scale
+        return self.x_left + (p - self.lev_lo) * self.slope
+
+
+_ZERO = Fraction(0)
+_X_LEFT = attrgetter("x_left")
+# Valid atoms and segments differ in their first entry, so sorting by it alone
+# gives the order of the whole tuples without testing each pair for equality.
+_FIRST = itemgetter(0)
 
 
 class Distribution:
@@ -161,21 +170,16 @@ class Piecewise(Distribution):
         including inside a segment).
 
     The atom masses plus segment rises must sum to exactly 1.
+
+    The affine pieces of the generalized inverse (``quantile_pieces()``) are
+    the one stored layout: the CDF, its left limits, left flatness and the
+    support are all read from them.  One left-to-right pass over the atoms
+    and segments builds the pieces and checks the arguments.
     """
 
     is_exact = True
 
-    __slots__ = (
-        "atoms",
-        "segments",
-        "_atom_mass",
-        "_crit",
-        "_f_minus",
-        "_f_plus",
-        "_gap_density",
-        "_pieces",
-        "_piece_lev_his",
-    )
+    __slots__ = ("atoms", "segments", "_atom_mass", "_pieces", "_piece_lev_his")
 
     def __init__(
         self,
@@ -183,13 +187,56 @@ class Piecewise(Distribution):
         segments: Iterable[tuple[RealLike, RealLike, RealLike]] = (),
     ) -> None:
         self.atoms: tuple[tuple[Fraction, Fraction], ...] = tuple(
-            sorted((as_fraction(a), as_fraction(m)) for a, m in atoms)
+            sorted(((as_fraction(a), as_fraction(m)) for a, m in atoms), key=_FIRST)
         )
         self.segments: tuple[tuple[Fraction, Fraction, Fraction], ...] = tuple(
-            sorted((as_fraction(l), as_fraction(r), as_fraction(h)) for l, r, h in segments)
+            sorted(
+                ((as_fraction(l), as_fraction(r), as_fraction(h)) for l, r, h in segments),
+                key=_FIRST,
+            )
         )
-        self._validate()
-        self._precompute()
+        # Each segment takes the atoms below its right end: those at or
+        # before its left end come first, and each one strictly inside splits
+        # it.  So at a shared point the stretch ending there comes first, then
+        # the atom, then the stretch starting there.  The final None takes
+        # the atoms past the last segment.
+        pieces: list[QuantilePiece] = []
+        cum = _ZERO
+        atoms, i = self.atoms, 0
+        prev_loc = prev_right = None
+        for seg in (*self.segments, None):
+            if seg is not None:
+                left, right, rise = seg
+                if not left < right:
+                    raise ValueError(f"segment [{left}, {right}] must have left < right")
+                if rise <= 0:
+                    raise ValueError(f"segment rise over [{left}, {right}] must be positive")
+                if prev_right is not None and prev_right > left:
+                    raise ValueError("segment interiors must be pairwise disjoint")
+                prev_right = right
+                x, rest, slope = left, rise, (right - left) / rise
+            while i < len(atoms) and (seg is None or atoms[i][0] < right):
+                loc, mass = atoms[i]
+                i += 1
+                if mass <= 0:
+                    raise ValueError(f"atom mass at {loc} must be positive, got {mass}")
+                if loc == prev_loc:
+                    raise ValueError(f"duplicate atom location {loc}")
+                prev_loc = loc
+                if seg is not None and loc > x:
+                    part = (loc - x) / slope
+                    pieces.append(QuantilePiece(cum, cum + part, x, loc, slope))
+                    cum, rest, x = cum + part, rest - part, loc
+                pieces.append(QuantilePiece(cum, cum + mass, loc, loc, _ZERO))
+                cum += mass
+            if seg is not None:
+                pieces.append(QuantilePiece(cum, cum + rest, x, right, slope))
+                cum += rest
+        if cum != 1:
+            raise ValueError(f"atom masses plus segment rises must equal 1, got {cum}")
+        self._atom_mass = dict(self.atoms)
+        self._pieces = tuple(pieces)
+        self._piece_lev_his = [piece.lev_hi for piece in pieces]
 
     # -- construction helpers -------------------------------------------------
 
@@ -213,96 +260,26 @@ class Piecewise(Distribution):
         for pt in points:
             loc = as_fraction(pt)
             masses[loc] = masses.get(loc, Fraction(0)) + share
-        return cls(atoms=sorted(masses.items()))
-
-    # -- validation / precomputation ------------------------------------------
-
-    def _validate(self) -> None:
-        for i, (loc, mass) in enumerate(self.atoms):
-            if mass <= 0:
-                raise ValueError(f"atom mass at {loc} must be positive, got {mass}")
-            if i and loc == self.atoms[i - 1][0]:
-                raise ValueError(f"duplicate atom location {loc}")
-        for i, (left, right, rise) in enumerate(self.segments):
-            if not left < right:
-                raise ValueError(f"segment [{left}, {right}] must have left < right")
-            if rise <= 0:
-                raise ValueError(f"segment rise over [{left}, {right}] must be positive")
-            if i and self.segments[i - 1][1] > left:
-                raise ValueError("segment interiors must be pairwise disjoint")
-        total = sum((m for _, m in self.atoms), Fraction(0)) + sum(
-            (h for _, _, h in self.segments), Fraction(0)
-        )
-        if total != 1:
-            raise ValueError(f"atom masses plus segment rises must equal 1, got {total}")
-
-    def _precompute(self) -> None:
-        self._atom_mass = {loc: mass for loc, mass in self.atoms}
-        crit = sorted(
-            {loc for loc, _ in self.atoms}
-            | {s[0] for s in self.segments}
-            | {s[1] for s in self.segments}
-        )
-        self._crit = crit
-
-        # Density of the unique segment covering each open gap (crit[i], crit[i+1]).
-        # Segments are sorted with disjoint interiors and crit holds both ends
-        # of each, so one forward pointer visits every covered gap once.
-        density = [Fraction(0)] * (len(crit) - 1) if len(crit) > 1 else []
-        j = 0
-        for left, right, rise in self.segments:
-            d = rise / (right - left)
-            while crit[j] < left:
-                j += 1
-            while crit[j] < right:
-                density[j] = d
-                j += 1
-        self._gap_density = density
-
-        f_minus: list[Fraction] = []
-        f_plus: list[Fraction] = []
-        pieces: list[QuantilePiece] = []
-        cum = Fraction(0)
-        for i, x in enumerate(crit):
-            f_minus.append(cum)
-            mass = self._atom_mass.get(x, Fraction(0))
-            if mass:
-                pieces.append(QuantilePiece(cum, cum + mass, x, x))
-                cum += mass
-            f_plus.append(cum)
-            if i + 1 < len(crit) and density[i]:
-                gap_rise = density[i] * (crit[i + 1] - x)
-                pieces.append(QuantilePiece(cum, cum + gap_rise, x, crit[i + 1]))
-                cum += gap_rise
-        self._f_minus = f_minus
-        self._f_plus = f_plus
-        self._pieces = tuple(pieces)
-        self._piece_lev_his = [piece.lev_hi for piece in pieces]
+        return cls(atoms=masses.items())
 
     # -- queries ---------------------------------------------------------------
 
+    def _level_at(self, x: Fraction, find) -> Fraction:
+        """The level at x of the last piece that ``find`` places at or before x."""
+        j = find(self._pieces, x, key=_X_LEFT) - 1
+        if j < 0:
+            return _ZERO
+        piece = self._pieces[j]
+        if x >= piece.x_right:
+            return piece.lev_hi
+        return piece.lev_lo + (x - piece.x_left) / piece.slope
+
     def cdf(self, x: RealLike) -> Fraction:
-        x = as_fraction(x)
-        crit = self._crit
-        if x < crit[0]:
-            return Fraction(0)
-        j = bisect.bisect_right(crit, x) - 1
-        base = self._f_plus[j]
-        if x == crit[j] or j + 1 >= len(crit):
-            return base
-        return base + self._gap_density[j] * (x - crit[j])
+        # bisect_right keeps the pieces starting at x: F(x) counts an atom there.
+        return self._level_at(as_fraction(x), bisect.bisect_right)
 
     def cdf_left_limit(self, x: RealLike) -> Fraction:
-        x = as_fraction(x)
-        crit = self._crit
-        if x < crit[0]:
-            return Fraction(0)
-        j = bisect.bisect_right(crit, x) - 1
-        if x == crit[j]:
-            return self._f_minus[j]
-        if j + 1 >= len(crit):
-            return self._f_plus[j]
-        return self._f_plus[j] + self._gap_density[j] * (x - crit[j])
+        return self._level_at(as_fraction(x), bisect.bisect_left)
 
     def quantile(self, p: RealLike) -> ExtendedReal:
         p = as_fraction(p)
@@ -318,18 +295,18 @@ class Piecewise(Distribution):
 
     def flat_left_of(self, x: RealLike) -> tuple[bool, Fraction | None]:
         x = as_fraction(x)
-        crit = self._crit
-        # crit[j] is the largest critical point below x; x is covered by a
-        # segment exactly when the gap (crit[j], crit[j+1]] has positive density.
-        j = bisect.bisect_left(crit, x) - 1
+        # The last piece starting below x covers x exactly when it is a
+        # segment reaching x; otherwise the CDF is flat on (x_right, x).
+        j = bisect.bisect_left(self._pieces, x, key=_X_LEFT) - 1
         if j < 0:
             return True, x - 1
-        if j < len(self._gap_density) and self._gap_density[j]:
+        piece = self._pieces[j]
+        if piece.slope and x <= piece.x_right:
             return False, None
-        return True, (crit[j] + x) / 2
+        return True, (piece.x_right + x) / 2
 
     def support_bounds(self) -> tuple[Fraction, Fraction]:
-        return self._crit[0], self._crit[-1]
+        return self._pieces[0].x_left, self._pieces[-1].x_right
 
     def quantile_pieces(self) -> tuple[QuantilePiece, ...]:
         """The affine stretches of the generalized inverse, in level order."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter
 
 from .distributions import (
@@ -86,17 +87,21 @@ def feasible_alpha_range(q: RealLike, p: RealLike) -> tuple[Fraction, Fraction]:
     return alpha_min, alpha_max
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def _beta_of(q: Fraction, p: Fraction, alpha) -> Fraction:
+def _beta_of(q, p, alpha):
     """The partner level (p - q*alpha)/(1-q), clamped to [0, 1].
 
+    Exact arguments give an exact level and float arguments a float one.
     The clamp only acts on float alphas, which can land an epsilon outside
-    the feasible range; exact feasible alphas pass through unchanged.
+    the feasible range; on ties ``min`` and ``max`` return their first
+    argument, so exact feasible levels pass through unchanged.
     """
-    beta = (p - q * as_fraction(alpha)) / (1 - q)
-    return min(max(beta, _ZERO), _ONE)
+    beta = (p - q * alpha) / (1 - q)
+    return min(max(beta, 0), 1)
+
+
+def _holds(m: MixtureSpec, q, p, alpha) -> bool:
+    """The ordering Qx(alpha) >= Qy(beta(alpha)), in the arithmetic of q and p."""
+    return m.x.quantile(alpha) >= m.y.quantile(_beta_of(q, p, alpha))
 
 
 def ordering_predicate(m: MixtureSpec, p: RealLike, alpha: RealLike) -> bool:
@@ -112,7 +117,7 @@ def ordering_predicate(m: MixtureSpec, p: RealLike, alpha: RealLike) -> bool:
         raise DomainError(
             f"alpha must lie in the feasible range [{alpha_min}, {alpha_max}], got {alpha}"
         )
-    return m.x.quantile(alpha) >= m.y.quantile(_beta_of(m.q, p, alpha))
+    return _holds(m, m.q, p, alpha)
 
 
 def optimal_split(m: MixtureSpec, p: RealLike) -> SplitPoint:
@@ -150,10 +155,7 @@ def _solve_split(m: MixtureSpec, p: Fraction):
     """Returns (alpha*, beta*, clamped) for 0 < q < 1."""
     q = m.q
     alpha_min, alpha_max = feasible_alpha_range(q, p)
-
-    def holds(alpha) -> bool:
-        return m.x.quantile(alpha) >= m.y.quantile(_beta_of(q, p, alpha))
-
+    holds = partial(_holds, m, q, p)
     if holds(alpha_min):
         return alpha_min, _beta_of(q, p, alpha_min), False
     if not holds(alpha_max):
@@ -163,8 +165,8 @@ def _solve_split(m: MixtureSpec, p: Fraction):
     if m.is_exact:
         alpha = _solve_split_exact(m, p, holds, alpha_min, alpha_max)
         return alpha, _beta_of(q, p, alpha), False
-    alpha = _solve_split_numeric(m, p, holds, alpha_min, alpha_max)
-    return alpha, float(_beta_of(q, p, alpha)), False
+    alpha = _solve_split_numeric(m, p, alpha_min, alpha_max)
+    return float(alpha), float(_beta_of(q, p, alpha)), False
 
 
 # -- exact path ----------------------------------------------------------------
@@ -246,13 +248,22 @@ def _refine_cell(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Fraction) ->
 # -- numeric path ----------------------------------------------------------------
 
 
-def _solve_split_numeric(m: MixtureSpec, p: Fraction, holds, a_lo: Fraction, a_hi: Fraction):
-    """Float bisection for alpha*, given the ordering fails at a_lo and holds at a_hi."""
+def _solve_split_numeric(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Fraction):
+    """Float bisection for alpha*, given the ordering fails at a_lo and holds at a_hi.
 
-    def objective(alpha) -> float:
+    The probes see q and p as floats, so each one runs in float arithmetic.
+    """
+    holds = partial(_holds, m, float(m.q), float(p))
+
+    def objective(alpha) -> ExtendedReal:
         return max(m.x.quantile(alpha), m.y.quantile(_beta_of(m.q, p, alpha)))
 
     lo, hi = bisect_float(holds, float(a_lo), float(a_hi), BISECTION_WIDTH)
+    # An end the bisection never moved is an end of the feasible range, where
+    # beta may be exactly 0 or 1.  Rounding alpha to a float there can move
+    # beta off the jump of Qy at that level, so such an end is judged exactly.
+    lo = a_lo if lo == float(a_lo) else lo
+    hi = a_hi if hi == float(a_hi) else hi
     # Every feasible alpha has F_S(max{Qx(alpha), Qy(beta(alpha))}) >= p, so
     # the bracket end with the smaller max gives the better quantile.  It is
     # lo when the infimum is not attained, e.g. where Qx jumps up from -inf

@@ -155,36 +155,21 @@ def monte_carlo_quantile(m: MixtureSpec, p, n: int, seed: int) -> float:
 # -- randomized instances --------------------------------------------------------
 
 
+#: Feature caps and level grids of the instance generator.
+MAX_ATOMS = 3
+MAX_SEGMENTS = 2
+Q_GRID = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(3, 4))
+P_GRID = tuple(Fraction(k, 20) for k in range(1, 20))
+
+
 @dataclass(frozen=True)
 class InstanceGenConfig:
-    """Knobs for the deterministic piecewise instance generator."""
+    """The seed of the deterministic piecewise instance generator."""
 
     seed: int = 0
-    max_atoms: int = 3
-    max_segments: int = 2
-    q_grid: tuple = (
-        Fraction(1, 4),
-        Fraction(1, 3),
-        Fraction(1, 2),
-        Fraction(3, 5),
-        Fraction(3, 4),
-    )
-    p_grid: tuple = tuple(Fraction(k, 20) for k in range(1, 20))
-    allow_coincident_breakpoints: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_atoms < 0 or self.max_segments < 0:
-            raise ValueError("feature caps must be nonnegative")
-        if self.max_atoms + self.max_segments == 0:
-            raise ValueError("at least one feature type must be allowed")
-        for level in tuple(self.q_grid) + tuple(self.p_grid):
-            if not 0 < as_fraction(level) < 1:
-                raise ValueError(f"grid level {level} must lie strictly in (0, 1)")
 
 
-def _random_component(
-    rng: np.random.Generator, cfg: InstanceGenConfig, offset: Fraction
-) -> Piecewise:
+def _random_component(rng: np.random.Generator, offset: Fraction) -> Piecewise:
     """One piecewise distribution over a half-integer lattice (plus offset).
 
     Segments occupy distinct unit cells so interiors never overlap; atoms
@@ -192,7 +177,7 @@ def _random_component(
     jump-with-mass-below and jump-inside-plateau geometries.
     """
     cells = [int(c) - 2 for c in rng.permutation(5)]
-    n_seg = int(rng.integers(0, cfg.max_segments + 1))
+    n_seg = int(rng.integers(0, MAX_SEGMENTS + 1))
     segments: list[tuple[Fraction, Fraction]] = []
     for i in range(n_seg):
         base = Fraction(cells[i]) + offset
@@ -206,7 +191,7 @@ def _random_component(
         candidates |= {left, right, (left + right) / 2}
     ordered = sorted(candidates)
     lo_atoms = 1 if n_seg == 0 else 0
-    n_atoms = int(rng.integers(lo_atoms, cfg.max_atoms + 1))
+    n_atoms = int(rng.integers(lo_atoms, MAX_ATOMS + 1))
     picks = rng.choice(len(ordered), size=min(n_atoms, len(ordered)), replace=False)
     atoms = [ordered[int(i)] for i in picks]
 
@@ -221,9 +206,7 @@ def _random_component(
     return Piecewise(atom_list, seg_list)
 
 
-def _choose_level(
-    rng: np.random.Generator, m: MixtureSpec, cfg: InstanceGenConfig
-) -> Fraction:
+def _choose_level(rng: np.random.Generator, m: MixtureSpec) -> Fraction:
     """A level in (0, 1), biased toward the mixture CDF's own critical levels."""
     pieces = m.merged.quantile_pieces()
     boundary = sorted(
@@ -239,7 +222,7 @@ def _choose_level(
         return boundary[int(rng.integers(len(boundary)))]
     if roll < 0.62 and jump_mids:
         return jump_mids[int(rng.integers(len(jump_mids)))]
-    return as_fraction(cfg.p_grid[int(rng.integers(len(cfg.p_grid)))])
+    return P_GRID[int(rng.integers(len(P_GRID)))]
 
 
 def _coordinated_pair(
@@ -304,29 +287,28 @@ def generate_instance(cfg: InstanceGenConfig, index: int) -> tuple[MixtureSpec, 
     removes coincidences entirely.
     """
     rng = np.random.default_rng([cfg.seed, index])
-    if cfg.allow_coincident_breakpoints and rng.random() < 0.18:
+    if rng.random() < 0.18:
         for attempt in range(16):
             x, y, t = _coordinated_pair(rng)
             if not _shares_double_plateau_atom(x, y):
-                q = as_fraction(cfg.q_grid[int(rng.integers(len(cfg.q_grid)))])
+                q = Q_GRID[int(rng.integers(len(Q_GRID)))]
                 m = MixtureSpec(q, x, y)
                 lo = mixture_cdf_left_limit(m, t)
                 hi = mixture_cdf(m, t)
                 if rng.random() < 0.5 and lo > 0:
                     return m, lo
                 return m, lo + (hi - lo) * Fraction(int(rng.integers(1, 8)), 8)
-    y_offset = Fraction(0) if cfg.allow_coincident_breakpoints else Fraction(1, 7)
     for attempt in range(32):
-        x = _random_component(rng, cfg, Fraction(0))
-        y = _random_component(rng, cfg, y_offset)
+        x = _random_component(rng, Fraction(0))
+        y = _random_component(rng, Fraction(0))
         if not _shares_double_plateau_atom(x, y):
             break
     else:
-        x = _random_component(rng, cfg, Fraction(0))
-        y = _random_component(rng, cfg, Fraction(1, 7))
-    q = as_fraction(cfg.q_grid[int(rng.integers(len(cfg.q_grid)))])
+        x = _random_component(rng, Fraction(0))
+        y = _random_component(rng, Fraction(1, 7))
+    q = Q_GRID[int(rng.integers(len(Q_GRID)))]
     m = MixtureSpec(q, x, y)
-    return m, _choose_level(rng, m, cfg)
+    return m, _choose_level(rng, m)
 
 
 # -- cross-checking --------------------------------------------------------------

@@ -130,19 +130,21 @@ def test_support_bounds():
 
 
 def test_rejects_bad_geometry():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must equal 1, got 1/2"):
         Piecewise(atoms=[(0, F(1, 2))])  # total mass 1/2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="atom mass at 0 must be positive, got 0"):
         Piecewise(atoms=[(0, 0), (1, 1)])  # zero mass
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate atom location 0"):
         Piecewise(atoms=[(0, F(1, 2)), (0, F(1, 2))])  # duplicate location
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"segment \[1, 1\] must have left < right"):
         Piecewise(segments=[(1, 1, 1)])  # empty interval
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"segment rise over \[0, 1\] must be positive"):
+        Piecewise(segments=[(0, 1, 0), (1, 2, 1)])  # zero rise
+    with pytest.raises(ValueError, match="segment interiors must be pairwise disjoint"):
         Piecewise(segments=[(0, 2, F(1, 2)), (1, 3, F(1, 2))])  # overlap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot coerce non-finite value nan"):
         as_fraction(float("nan"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot coerce non-finite value inf"):
         as_fraction(float("inf"))
 
 
@@ -164,6 +166,25 @@ def test_quantile_rejects_out_of_range_levels():
 def test_cdf_matches_reference(d, x):
     assert d.cdf(x) == ref_cdf(d, x)
     assert d.cdf_left_limit(x) == ref_cdf_left(d, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(piecewise_dists(), points, st.data())
+def test_continuity_and_support_match_reference(d, x, data):
+    pts = breakpoints(d)
+    assert d.support_bounds() == (pts[0], pts[-1])
+    for t in (x, data.draw(st.sampled_from(pts))):
+        assert d.is_continuous_at(t) == (ref_cdf(d, t) == ref_cdf_left(d, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(piecewise_dists())
+def test_piece_slopes_match_their_ends(d):
+    for piece in d.quantile_pieces():
+        if piece.x_left == piece.x_right:
+            assert piece.slope == 0
+        else:
+            assert piece.slope == (piece.x_right - piece.x_left) / (piece.lev_hi - piece.lev_lo)
 
 
 @settings(max_examples=150, deadline=None)

@@ -241,6 +241,19 @@ def test_numeric_split_when_the_infimum_is_not_attained(m, want):
         assert cross_check(mm, F(1, 2)).failures == ()
 
 
+def test_numeric_split_judges_an_unmoved_bracket_end_exactly():
+    # With Y above X and p < q, alpha* = p/q, where beta is exactly 0 and
+    # Qy(0) = -inf.  The float image of p/q can put beta an epsilon above 0,
+    # where Qy is Y's support floor 2, so s_p = 2 unless that end is exact.
+    for q in (F(1, 4), F(1, 3), F(1, 2), F(3, 5), F(2, 3), F(3, 4)):
+        for k in range(1, 100):
+            p = F(k, 100)
+            if p < q:
+                m = MixtureSpec(q, Uniform(0, 1), Uniform(2, 3))
+                for mm in (m, m.swapped()):
+                    assert abs(split_quantile(mm, p).s_p - float(p / q)) <= 1e-9
+
+
 def test_split_on_normal_pair_agrees_with_direct_inversion():
     m = MixtureSpec(F(3, 10), Normal(0, 1), Normal(1, 1))
     sol = split_quantile(m, F(1, 2))
