@@ -13,6 +13,7 @@ contradiction (an impossible case-table cell), 5 unwritable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -76,6 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--seed", type=int, required=True, help="generator seed")
     cmd.add_argument("--jobs", type=int, default=1, help="parallel workers")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: ``parse_args`` keeps no state between calls."""
+    return build_parser()
 
 
 def _load_mixture(path: str) -> MixtureSpec:
@@ -225,9 +232,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

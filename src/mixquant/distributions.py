@@ -225,13 +225,16 @@ class Piecewise(Distribution):
                 prev_loc = loc
                 if seg is not None and loc > x:
                     part = (loc - x) / slope
-                    pieces.append(QuantilePiece(cum, cum + part, x, loc, slope))
-                    cum, rest, x = cum + part, rest - part, loc
-                pieces.append(QuantilePiece(cum, cum + mass, loc, loc, _ZERO))
-                cum += mass
+                    top = cum + part
+                    pieces.append(QuantilePiece(cum, top, x, loc, slope))
+                    cum, rest, x = top, rest - part, loc
+                top = cum + mass
+                pieces.append(QuantilePiece(cum, top, loc, loc, _ZERO))
+                cum = top
             if seg is not None:
-                pieces.append(QuantilePiece(cum, cum + rest, x, right, slope))
-                cum += rest
+                top = cum + rest
+                pieces.append(QuantilePiece(cum, top, x, right, slope))
+                cum = top
         if cum != 1:
             raise ValueError(f"atom masses plus segment rises must equal 1, got {cum}")
         self._atom_mass = dict(self.atoms)

@@ -8,9 +8,11 @@ crossing of the level p is bracketed and bisected in floating point.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -37,6 +39,9 @@ __all__ = [
 
 #: Width of the bracketing interval at which parametric direct inversion stops.
 DIRECT_BISECTION_TOL = 1e-12
+
+_ZERO = Fraction(0)
+_FIRST = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -93,12 +98,12 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
     overlapping segments are split on each other's endpoints so the result
     satisfies the disjoint-interior invariant.
 
-    The segments come from one sweep over the sorted segment endpoints of
-    both components, with one pointer per component.  A component's segments
-    are sorted with disjoint interiors, so at most one of them covers each
-    interval between consecutive cuts, and each pointer only moves forward.
-    With n and m segments this costs O((n+m) log(n+m)), the sort.  The
-    result is rebuilt on every call; ``MixtureSpec.merged`` keeps one.
+    Each component's atoms and segment endpoints are already sorted, so the
+    result comes from linear merges of those sorted runs, with no sort and
+    no set: with n and m features this costs O(n+m).  Between consecutive
+    endpoints at most one segment of each component is active, because a
+    component's segments have disjoint interiors.  The result is rebuilt on
+    every call; ``MixtureSpec.merged`` keeps one.
     """
     if not m.is_exact:
         raise ValueError("merged_distribution needs two piecewise components")
@@ -106,32 +111,37 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
         return Piecewise(m.x.atoms, m.x.segments)
     if m.q == 0:
         return Piecewise(m.y.atoms, m.y.segments)
+    weighted = ((m.q, m.x), (1 - m.q, m.y))
 
-    atoms: dict[Fraction, Fraction] = {}
-    for weight, comp in ((m.q, m.x), (1 - m.q, m.y)):
-        for loc, mass in comp.atoms:
-            atoms[loc] = atoms.get(loc, Fraction(0)) + weight * mass
+    atoms: list[tuple[Fraction, Fraction]] = []
+    runs = ([(loc, weight * mass) for loc, mass in comp.atoms] for weight, comp in weighted)
+    for loc, mass in heapq.merge(*runs, key=_FIRST):
+        if atoms and atoms[-1][0] == loc:
+            atoms[-1] = (loc, atoms[-1][1] + mass)
+        else:
+            atoms.append((loc, mass))
 
-    # Per component: (left, right, scaled density), sorted by left.
-    sides = [
-        [(left, right, weight * rise / (right - left)) for left, right, rise in comp.segments]
-        for weight, comp in ((m.q, m.x), (1 - m.q, m.y))
-    ]
-    cuts = sorted({e for side in sides for left, right, _ in side for e in (left, right)})
-    heads = [0] * len(sides)
+    # Every segment end as (x, side, that side's density from x on), in x
+    # order per side.  heapq.merge is stable, so where one segment ends and
+    # the next begins, the next one's density is read last.  Only a step to
+    # a new x closes a segment, so a cut that repeats adds none.
+    steps = []
+    for side, (weight, comp) in enumerate(weighted):
+        run = []
+        for left, right, rise in comp.segments:
+            run += ((left, side, weight * rise / (right - left)), (right, side, _ZERO))
+        steps.append(run)
     segments = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        density = Fraction(0)
-        for k, side in enumerate(sides):
-            i = heads[k]
-            while i < len(side) and side[i][1] <= lo:
-                i += 1
-            heads[k] = i
-            if i < len(side) and side[i][0] <= lo:
-                density += side[i][2]
-        if density:
-            segments.append((lo, hi, density * (hi - lo)))
-    return Piecewise(sorted(atoms.items()), segments)
+    active = [_ZERO, _ZERO]
+    lo, density = None, _ZERO
+    for at, side, step in heapq.merge(*steps, key=_FIRST):
+        if density and at != lo:
+            segments.append((lo, at, density * (at - lo)))
+        active[side] = step
+        lo = at
+        x_density, y_density = active
+        density = x_density + y_density if x_density and y_density else x_density or y_density
+    return Piecewise(atoms, segments)
 
 
 def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:

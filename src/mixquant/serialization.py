@@ -44,8 +44,9 @@ __all__ = [
     "serialize_mixture",
 ]
 
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
-_RATIO_RE = re.compile(r"^[+-]?\d+/\d+$")
+# An integer or "n/d" ratio (groups: signed numerator, denominator), or a
+# decimal with a point (no groups).
+_EXACT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?|[+-]?(?:\d+\.\d*|\.\d+)")
 
 
 class SpecParseError(ValueError):
@@ -64,9 +65,15 @@ def parse_exact_number(value, where: str = "number") -> Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
-        if _DECIMAL_RE.match(text) or _RATIO_RE.match(text):
+        match = _EXACT_RE.fullmatch(text)
+        if match:
+            num, den = match.groups()
             try:
-                return Fraction(text)
+                if num is None:
+                    return Fraction(text)
+                if den is None:
+                    return Fraction(int(num))
+                return Fraction(int(num), int(den))
             except (ValueError, ZeroDivisionError) as exc:
                 raise SpecParseError(f"{where}: cannot parse {value!r}: {exc}") from None
         raise SpecParseError(

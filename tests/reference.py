@@ -2,13 +2,14 @@
 
 Everything here recomputes piecewise CDF/quantile facts from the raw atom
 and segment lists by direct scanning, sharing no code with the package's
-precomputed-piece machinery.  Slow and obvious on purpose.
+precomputed-piece machinery, and parses exact numbers by the plain
+two-regex rule.  Slow and obvious on purpose.
 """
 
+import re
 from fractions import Fraction
 
 NEG_INF = float("-inf")
-
 
 def ref_cdf(d, x):
     """P(X <= x) summed feature by feature."""
@@ -179,3 +180,36 @@ def _affine(piece):
         return piece.x_left, Fraction(0)
     slope = (piece.x_right - piece.x_left) / (piece.lev_hi - piece.lev_lo)
     return piece.x_left - slope * piece.lev_lo, slope
+
+
+_REF_DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
+_REF_RATIO_RE = re.compile(r"^[+-]?\d+/\d+$")
+
+
+def ref_parse_exact_number(value, where="number"):
+    """The exact-number rule of mixture documents, written the slow way.
+
+    A string is stripped and must match a plain decimal or an "n/d" ratio;
+    ``Fraction`` then parses all of it.  Rejections raise ``ValueError``
+    with the package's message.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise ValueError(
+            f"{where}: raw JSON floats are not exact; write the number as a decimal string"
+        )
+    if isinstance(value, str):
+        text = value.strip()
+        if _REF_DECIMAL_RE.match(text) or _REF_RATIO_RE.match(text):
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{where}: cannot parse {value!r}: {exc}") from None
+        raise ValueError(
+            f"{where}: {value!r} is not a plain decimal or n/d ratio "
+            "(scientific notation is rejected)"
+        )
+    raise ValueError(f"{where}: expected a number, got {type(value).__name__}")

@@ -1,10 +1,21 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from mixquant.cli import main
+from mixquant.serialization import exact_number_to_string, extended_to_string
+from reference import ref_cdf, ref_merged, ref_quantile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+FRESH_MAIN = "import sys; from mixquant.cli import main; sys.exit(main(sys.argv[1:]))"
 
 TWO_ATOMS = {
     "q": "0.5",
@@ -151,6 +162,57 @@ def test_curve_merges_an_exact_mixture_once(spec_file, tmp_path, merge_counter):
     assert len(merge_counter) == 1
 
 
+def _adjacent_units(rng, features, offset):
+    """Adjacent unit segments from ``offset``, a tenth of the features atoms
+    on distinct segment ends, with random exact weights: the raw feature
+    lists and the document literal."""
+    n_seg, n_atoms = features - features // 10, features // 10
+    draws = [rng.randint(1, 9) for _ in range(features)]
+    total = sum(draws)
+    weights = [F(d, total) for d in draws]
+    ends = rng.sample(range(n_seg + 1), n_atoms)
+    raw = SimpleNamespace(
+        atoms=sorted((offset + e, weights[n_seg + j]) for j, e in enumerate(ends)),
+        segments=[(offset + i, offset + i + 1, weights[i]) for i in range(n_seg)],
+    )
+    literal = {
+        "kind": "piecewise",
+        "atoms": [[exact_number_to_string(v) for v in atom] for atom in raw.atoms],
+        "segments": [[exact_number_to_string(v) for v in seg] for seg in raw.segments],
+    }
+    return raw, literal
+
+
+def _reference_curve(q, x, y, lo, hi, steps):
+    """The curve table from the naive CDF, quantile and merge."""
+    atoms, segments = ref_merged(SimpleNamespace(q=q, x=x, y=y))
+    merged = SimpleNamespace(atoms=atoms, segments=segments)
+    rows = ["x,F,G,FS"]
+    for i in range(steps):
+        t = lo + (hi - lo) * F(i, steps - 1)
+        f, g = ref_cdf(x, t), ref_cdf(y, t)
+        rows.append(",".join(extended_to_string(v) for v in (t, f, g, q * f + (1 - q) * g)))
+    rows += ["", "p,Qx,Qy,QS"]
+    for j in range(1, steps + 1):
+        p = F(j, steps + 1)
+        values = (p, ref_quantile(x, p), ref_quantile(y, p), ref_quantile(merged, p))
+        rows.append(",".join(extended_to_string(v) for v in values))
+    return "\n".join(rows) + "\n"
+
+
+def test_curve_on_a_wide_document_matches_the_reference(spec_file, tmp_path, merge_counter):
+    rng = random.Random(60)
+    x, x_literal = _adjacent_units(rng, 60, F(0))
+    y, y_literal = _adjacent_units(rng, 60, F(1, 3))
+    doc = {"q": "2/5", "X": x_literal, "Y": y_literal}
+    out = tmp_path / "curve.csv"
+    argv = ["curve", "--spec", spec_file(doc), "--from", "-1", "--to", "61", "--steps", "16"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(merge_counter) == 1
+    expected = _reference_curve(F(2, 5), x, y, F(-1), F(61), 16)
+    assert out.read_text(encoding="utf-8") == expected
+
+
 def test_curve_rejects_a_bad_grid(spec_file, tmp_path):
     spec = spec_file(TWO_ATOMS)
     out = str(tmp_path / "curve.csv")
@@ -253,6 +315,41 @@ def test_out_of_range_level_exits_3(spec_file, capsys):
 def test_contradiction_exits_4(spec_file, capsys):
     assert main(["classify", "--spec", spec_file(SHARED_ATOM), "--p", "0.25"]) == 4
     assert "internal contradiction" in capsys.readouterr().err
+
+
+def test_repeated_main_calls_print_what_fresh_calls_print(spec_file, tmp_path, capsys):
+    # One process parses every argv with the same parser; no call may see
+    # what an earlier one left behind (the last call must fall back to text).
+    spec = spec_file(TWO_ATOMS)
+    out = tmp_path / "curve.csv"
+    calls = [
+        ["--format", "machine", "quantile", "--spec", spec, "--p", "0.25"],
+        ["classify", "--spec", spec, "--p", "0.25"],
+        ["curve", "--spec", spec, "--from", "-1", "--to", "2", "--steps", "4", "--out", str(out)],
+        ["quantile", "--spec", spec, "--p"],
+        ["quantile", "--spec", spec, "--p", "0.75"],
+    ]
+    fresh = []
+    for argv in calls:
+        run = subprocess.run(
+            [sys.executable, "-c", FRESH_MAIN, *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        fresh.append((run.returncode, run.stdout, run.stderr))
+    fresh_curve = out.read_text(encoding="utf-8")
+    out.unlink()
+
+    repeated = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        repeated.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in repeated] == [0, 0, 0, 2, 0]
+    assert repeated == fresh
+    assert out.read_text(encoding="utf-8") == fresh_curve
 
 
 def test_bad_usage_exits_2(capsys):

@@ -19,13 +19,16 @@ def test_all_six_demos_are_found():
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_exits_cleanly(path, tmp_path):
     # The demos assert their own results; any failure shows as a nonzero exit.
-    # TMPDIR keeps the files a demo writes under pytest's temporary directory.
+    # A demo may use the temporary directory but must leave it empty.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
     out = subprocess.run(
         [sys.executable, path],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": SRC, "TMPDIR": str(tmp_path)},
+        env={**os.environ, "PYTHONPATH": SRC, "TMPDIR": str(tmpdir)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
+    assert list(tmpdir.iterdir()) == []

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixquant.distributions import Normal, Piecewise, Uniform
@@ -18,6 +18,8 @@ from mixquant.serialization import (
     parse_mixture,
     serialize_mixture,
 )
+
+from reference import ref_parse_exact_number
 
 # ---------------------------------------------------------------------------
 # exact number strings
@@ -40,6 +42,36 @@ def test_exact_number_parsing():
 def test_exact_number_rejections(bad):
     with pytest.raises(SpecParseError):
         parse_exact_number(bad)
+
+
+def _parsed(parse, value, rejection):
+    """``("value", type, number)``, or ``("rejected", message)`` when ``parse``
+    raises ``rejection``."""
+    try:
+        number = parse(value)
+    except rejection as exc:
+        return "rejected", str(exc)
+    return "value", type(number), number
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789+-./e _\t", max_size=12))
+@example("1/0")
+@example("-0/0")
+@example(".5")
+@example("5.")
+@example("+07")
+@example("1e3")
+@example(" -12/08 ")
+@example("1_000")
+@example("\u0663/\u0664")
+@example("1" * 5000)
+@example("1" * 5000 + "/3")
+def test_exact_number_parsing_matches_the_reference_rule(text):
+    # The package must reject with SpecParseError exactly where the
+    # reference rejects, with the same message, and agree on every value.
+    expected = _parsed(ref_parse_exact_number, text, ValueError)
+    assert _parsed(parse_exact_number, text, SpecParseError) == expected
 
 
 def test_exact_number_rendering():
