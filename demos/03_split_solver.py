@@ -15,7 +15,6 @@ from mixquant import (
     Piecewise,
     direct_quantile,
     feasible_alpha_range,
-    optimal_split,
     ordering_predicate,
     split_quantile,
 )
@@ -36,9 +35,6 @@ print(f"solution: {sol}")
 assert sol.s_p == 0 and sol.alpha_star == F(1, 2) and sol.beta_star == 0
 assert m.q * sol.alpha_star + (1 - m.q) * sol.beta_star == p
 assert sol.s_p == direct_quantile(m, p)
-
-point = optimal_split(m, p)
-assert (point.alpha, point.beta) == (sol.alpha_star, sol.beta_star)
 
 print()
 print("clamping: when no feasible alpha satisfies the predicate, the")

@@ -53,9 +53,7 @@ from .serialization import (
 )
 from .split import (
     QuantileSolution,
-    SplitPoint,
     feasible_alpha_range,
-    optimal_split,
     ordering_predicate,
     split_quantile,
 )
@@ -92,11 +90,9 @@ __all__ = [
     "direct_quantile",
     "numeric_quantile",
     "sample",
-    "SplitPoint",
     "QuantileSolution",
     "feasible_alpha_range",
     "ordering_predicate",
-    "optimal_split",
     "split_quantile",
     "CaseLabel",
     "RelationCheck",

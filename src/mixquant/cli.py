@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .classify import InternalContradictionError
 from .distributions import DomainError
-from .mixture import MixtureSpec, direct_quantile, mixture_cdf, numeric_quantile
+from .mixture import MixtureSpec, direct_quantile, numeric_quantile
 from .serialization import (
     SpecParseError,
     extended_to_string,
@@ -39,9 +39,6 @@ EXIT_PARSE_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 EXIT_CONTRADICTION = 4
 EXIT_UNWRITABLE = 5
-
-#: Grid resolution used by the verify command's scan oracle.
-VERIFY_GRID_STEPS = 10_001
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,16 +155,9 @@ def _cmd_curve(args) -> int:
     rows = ["x,F,G,FS"]
     for i in range(steps):
         x = lo + (hi - lo) * Fraction(i, steps - 1)
-        rows.append(
-            ",".join(
-                (
-                    extended_to_string(x),
-                    extended_to_string(m.x.cdf(x)),
-                    extended_to_string(m.y.cdf(x)),
-                    extended_to_string(mixture_cdf(m, x)),
-                )
-            )
-        )
+        f, g = m.x.cdf(x), m.y.cdf(x)
+        fs = m.q * f + (1 - m.q) * g
+        rows.append(",".join(map(extended_to_string, (x, f, g, fs))))
     rows.append("")
     rows.append("p,Qx,Qy,QS")
     invert = direct_quantile if (m.is_exact or m.is_parametric_pair) else numeric_quantile
@@ -203,7 +193,7 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise DomainError(f"--jobs must be positive, got {args.jobs}")
     cfg = InstanceGenConfig(seed=args.seed)
-    result = run_suite(cfg, args.count, jobs=args.jobs, grid_steps=VERIFY_GRID_STEPS)
+    result = run_suite(cfg, args.count, jobs=args.jobs)
     if args.format == "machine":
         doc = {
             "count": result.count,

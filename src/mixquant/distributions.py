@@ -121,6 +121,7 @@ class QuantilePiece:
 
 _ZERO = Fraction(0)
 _X_LEFT = attrgetter("x_left")
+_LEV_HI = attrgetter("lev_hi")
 # Valid atoms and segments differ in their first entry, so sorting by it alone
 # gives the order of the whole tuples without testing each pair for equality.
 _FIRST = itemgetter(0)
@@ -179,7 +180,7 @@ class Piecewise(Distribution):
 
     is_exact = True
 
-    __slots__ = ("atoms", "segments", "_atom_mass", "_pieces", "_piece_lev_his")
+    __slots__ = ("atoms", "segments", "_atom_mass", "_pieces")
 
     def __init__(
         self,
@@ -239,7 +240,6 @@ class Piecewise(Distribution):
             raise ValueError(f"atom masses plus segment rises must equal 1, got {cum}")
         self._atom_mass = dict(self.atoms)
         self._pieces = tuple(pieces)
-        self._piece_lev_his = [piece.lev_hi for piece in pieces]
 
     # -- construction helpers -------------------------------------------------
 
@@ -256,7 +256,7 @@ class Piecewise(Distribution):
     @classmethod
     def empirical(cls, points: Sequence[RealLike]) -> "Piecewise":
         """Equal atoms at the given points (duplicates merge their mass)."""
-        if not points:
+        if len(points) == 0:
             raise ValueError("empirical distribution needs at least one point")
         share = Fraction(1, len(points))
         masses: dict[Fraction, Fraction] = {}
@@ -290,8 +290,7 @@ class Piecewise(Distribution):
             raise DomainError(f"quantile level must lie in [0, 1], got {p}")
         if p == 0:
             return NEG_INF
-        idx = bisect.bisect_left(self._piece_lev_his, p)
-        return self._pieces[idx].value_at(p)
+        return self._pieces[bisect.bisect_left(self._pieces, p, key=_LEV_HI)].value_at(p)
 
     def is_continuous_at(self, x: RealLike) -> bool:
         return as_fraction(x) not in self._atom_mass

@@ -23,12 +23,12 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import attrgetter
 
 from .distributions import (
+    _LEV_HI,
     DomainError,
     ExtendedReal,
-    Piecewise,
+    QuantilePiece,
     RealLike,
     as_fraction,
     close,
@@ -36,25 +36,15 @@ from .distributions import (
 from .mixture import MixtureSpec, bisect_float
 
 __all__ = [
-    "SplitPoint",
     "QuantileSolution",
     "BISECTION_WIDTH",
     "feasible_alpha_range",
     "ordering_predicate",
-    "optimal_split",
     "split_quantile",
 ]
 
 #: Bisection stops once the bracket on alpha is narrower than this.
 BISECTION_WIDTH = 1e-14
-
-
-@dataclass(frozen=True, slots=True)
-class SplitPoint:
-    """A feasible split p = q*alpha + (1-q)*beta."""
-
-    alpha: Fraction | float
-    beta: Fraction | float
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,12 +110,6 @@ def ordering_predicate(m: MixtureSpec, p: RealLike, alpha: RealLike) -> bool:
     return _holds(m, m.q, p, alpha)
 
 
-def optimal_split(m: MixtureSpec, p: RealLike) -> SplitPoint:
-    """The split at the infimum alpha satisfying the ordering (clamped if none)."""
-    alpha, beta, _ = _solve_split(m, as_fraction(p))
-    return SplitPoint(alpha, beta)
-
-
 def split_quantile(m: MixtureSpec, p: RealLike) -> QuantileSolution:
     """Mixture quantile via the optimal split; exact for piecewise pairs.
 
@@ -163,7 +147,7 @@ def _solve_split(m: MixtureSpec, p: Fraction):
         return alpha_max, _beta_of(q, p, alpha_max), True
     # From here on the predicate is false at alpha_min and true at alpha_max.
     if m.is_exact:
-        alpha = _solve_split_exact(m, p, holds, alpha_min, alpha_max)
+        alpha = _solve_split_exact(m, p, alpha_min, alpha_max)
         return alpha, _beta_of(q, p, alpha), False
     alpha = _solve_split_numeric(m, p, alpha_min, alpha_max)
     return float(alpha), float(_beta_of(q, p, alpha)), False
@@ -171,67 +155,61 @@ def _solve_split(m: MixtureSpec, p: Fraction):
 
 # -- exact path ----------------------------------------------------------------
 
-_LEV_HI = attrgetter("lev_hi")
+
+def _flip_piece(pieces, lo: Fraction, hi: Fraction, flipped) -> QuantilePiece:
+    """The piece whose level range holds the flip of ``flipped`` inside (lo, hi).
+
+    Bisects the pieces whose top level cut lies strictly inside (lo, hi) for
+    the first one on which ``flipped`` holds; when it holds on none, the
+    answer is the piece reaching hi.
+    """
+    start = bisect.bisect_right(pieces, lo, key=_LEV_HI)
+    stop = bisect.bisect_left(pieces, hi, key=_LEV_HI)
+    return pieces[bisect.bisect_left(pieces, True, start, stop, key=flipped)]
 
 
-def _piece_at(d: Piecewise, level: Fraction):
-    """The affine stretch whose half-open level range contains ``level``."""
-    pieces = d.quantile_pieces()
-    return pieces[bisect.bisect_left(pieces, level, key=_LEV_HI)]
-
-
-def _cuts_inside(d: Piecewise, lo: Fraction, hi: Fraction) -> range:
-    """Indexes of the pieces whose top level cut lies strictly inside (lo, hi)."""
-    pieces = d.quantile_pieces()
-    return range(
-        bisect.bisect_right(pieces, lo, key=_LEV_HI),
-        bisect.bisect_left(pieces, hi, key=_LEV_HI),
-    )
-
-
-def _solve_split_exact(m: MixtureSpec, p: Fraction, holds, a_lo: Fraction, a_hi: Fraction):
+def _solve_split_exact(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Fraction):
     """Infimum of the ordering set, given it fails at a_lo and holds at a_hi.
 
-    Narrows the bracket to the consecutive X level cuts around the flip,
-    then to the consecutive Y level cuts inside that, mapped to alpha; what
-    remains is one cell on which both inverses are affine.
+    Narrows the bracket to one X piece around the flip, then to one Y piece
+    inside that, mapped to alpha; what remains is one cell on which both
+    inverses are affine.  At a cut c = piece.lev_hi the piece's own inverse
+    is piece.x_right, so each probe evaluates only the other side.
     """
     q = m.q
-    x_pieces = m.x.quantile_pieces()
-    idx = _cuts_inside(m.x, a_lo, a_hi)
-    k = bisect.bisect_left(idx, True, key=lambda i: holds(x_pieces[i].lev_hi))
-    if k < len(idx):
-        a_hi = x_pieces[idx[k]].lev_hi
-    if k > 0:
-        a_lo = x_pieces[idx[k - 1]].lev_hi
 
-    # alpha = (p - (1-q)c)/q falls as the Y cut c rises, so along rising
-    # cuts the predicate runs true, then false.
+    # alpha = (p - (1-q)c)/q is the alpha whose partner level is c; it falls
+    # as the Y cut c rises, so along rising Y cuts the ordering runs true,
+    # then false.
     def alpha_of(cut: Fraction) -> Fraction:
         return (p - (1 - q) * cut) / q
 
-    y_pieces = m.y.quantile_pieces()
-    idx = _cuts_inside(m.y, _beta_of(q, p, a_hi), _beta_of(q, p, a_lo))
-    k = bisect.bisect_left(idx, True, key=lambda i: not holds(alpha_of(y_pieces[i].lev_hi)))
-    if k < len(idx):
-        a_lo = alpha_of(y_pieces[idx[k]].lev_hi)
-    if k > 0:
-        a_hi = alpha_of(y_pieces[idx[k - 1]].lev_hi)
-    return _refine_cell(m, p, a_lo, a_hi)
+    px = _flip_piece(
+        m.x.quantile_pieces(), a_lo, a_hi,
+        lambda piece: piece.x_right >= m.y.quantile(_beta_of(q, p, piece.lev_hi)),
+    )
+    # The flip lies in px's level range, and in py's mapped to alpha, so
+    # each clips the bracket to that range.
+    a_lo, a_hi = max(a_lo, px.lev_lo), min(a_hi, px.lev_hi)
+    py = _flip_piece(
+        m.y.quantile_pieces(), _beta_of(q, p, a_hi), _beta_of(q, p, a_lo),
+        lambda piece: m.x.quantile(alpha_of(piece.lev_hi)) < piece.x_right,
+    )
+    a_lo, a_hi = max(a_lo, alpha_of(py.lev_hi)), min(a_hi, alpha_of(py.lev_lo))
+    return _refine_cell(q, p, px, py, a_lo, a_hi)
 
 
-def _refine_cell(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Fraction) -> Fraction:
+def _refine_cell(
+    q: Fraction, p: Fraction, px: QuantilePiece, py: QuantilePiece, a_lo: Fraction, a_hi: Fraction
+) -> Fraction:
     """Infimum of the ordering set inside the cell (a_lo, a_hi].
 
-    Both inverses are affine on the open cell, so the difference
-    d(alpha) = Qx(alpha) - Qy(beta(alpha)) is affine and nondecreasing; the
-    infimum is a_lo when d >= 0 throughout, the interior root when d crosses
-    zero inside, and a_hi otherwise (where the predicate holds by the jump).
+    On the open cell Qx follows ``px`` and Qy(beta) follows ``py``, so the
+    difference d(alpha) = Qx(alpha) - Qy(beta(alpha)) is affine and
+    nondecreasing; the infimum is a_lo when d >= 0 throughout, the interior
+    root when d crosses zero inside, and a_hi otherwise (where the predicate
+    holds by the jump).
     """
-    q = m.q
-    mid = (a_lo + a_hi) / 2
-    px = _piece_at(m.x, mid)
-    py = _piece_at(m.y, _beta_of(q, p, mid))
 
     def d(alpha: Fraction) -> Fraction:
         return px.value_at(alpha) - py.value_at(_beta_of(q, p, alpha))

@@ -65,7 +65,7 @@ class GridOracleConfig:
 
     lo: float
     hi: float
-    steps: int = 1_000_000
+    steps: int
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
@@ -78,9 +78,7 @@ class GridOracleConfig:
         return (self.hi - self.lo) / (self.steps - 1)
 
     @classmethod
-    def from_mixture(
-        cls, m: MixtureSpec, steps: int = 1_000_000, pad: float = 1.0
-    ) -> "GridOracleConfig":
+    def from_mixture(cls, m: MixtureSpec, steps: int) -> "GridOracleConfig":
         """Support hull of both components, padded one unit on each side.
 
         Unbounded supports fall back to extreme component quantiles.
@@ -90,7 +88,7 @@ class GridOracleConfig:
             lo, hi = comp.support_bounds()
             los.append(float(lo) if math.isfinite(float(lo)) else float(comp.quantile(1e-7)))
             his.append(float(hi) if math.isfinite(float(hi)) else float(comp.quantile(1 - 1e-7)))
-        return cls(min(los) - pad, max(his) + pad, steps)
+        return cls(min(los) - 1.0, max(his) + 1.0, steps)
 
 
 def _cdf_grid(d: Distribution, xs: np.ndarray) -> np.ndarray:
@@ -209,9 +207,9 @@ def _random_component(rng: np.random.Generator, offset: Fraction) -> Piecewise:
 def _choose_level(rng: np.random.Generator, m: MixtureSpec) -> Fraction:
     """A level in (0, 1), biased toward the mixture CDF's own critical levels."""
     pieces = m.merged.quantile_pieces()
-    boundary = sorted(
-        {lev for piece in pieces for lev in (piece.lev_lo, piece.lev_hi) if 0 < lev < 1}
-    )
+    # Piece levels rise strictly from 0 to 1, so the inner cuts are the top
+    # levels of all pieces but the last.
+    boundary = [piece.lev_hi for piece in pieces[:-1]]
     jump_mids = [
         (piece.lev_lo + piece.lev_hi) / 2
         for piece in pieces

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from mixquant.cli import main
+from mixquant.distributions import Piecewise
 from mixquant.serialization import exact_number_to_string, extended_to_string
 from reference import ref_cdf, ref_merged, ref_quantile
 
@@ -160,6 +161,20 @@ def test_curve_merges_an_exact_mixture_once(spec_file, tmp_path, merge_counter):
     argv = ["curve", "--spec", spec_file(doc), "--from", "-2", "--to", "3", "--steps", "16"]
     assert main(argv + ["--out", str(tmp_path / "curve.csv")]) == 0
     assert len(merge_counter) == 1
+
+
+def test_curve_reads_each_component_cdf_once_per_row(spec_file, tmp_path, monkeypatch):
+    calls = []
+    real = Piecewise.cdf
+
+    def counting(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(Piecewise, "cdf", counting)
+    argv = ["curve", "--spec", spec_file(TWO_ATOMS), "--from", "-2", "--to", "3", "--steps", "16"]
+    assert main(argv + ["--out", str(tmp_path / "curve.csv")]) == 0
+    assert len(calls) == 2 * 16
 
 
 def _adjacent_units(rng, features, offset):

@@ -19,6 +19,7 @@ from mixquant.distributions import (
     Uniform,
     as_fraction,
 )
+from mixquant.mixture import MixtureSpec, sample
 
 from reference import breakpoints, ref_cdf, ref_cdf_left, ref_flat_left_of, ref_quantile
 
@@ -81,6 +82,18 @@ def test_empirical_merges_duplicates():
     assert d.quantile(F(1, 4) + F(1, 100)) == 2
     assert d.quantile(F(3, 4)) == 2
     assert d.quantile(F(3, 4) + F(1, 100)) == 3
+
+
+def test_empirical_takes_numpy_arrays():
+    assert Piecewise.empirical(np.array([1.0, 2.0, 2.0])).atoms == (
+        Piecewise.empirical([1.0, 2.0, 2.0]).atoms
+    )
+    draws = sample(MixtureSpec(F(1, 3), Piecewise.uniform(0, 1), Normal(5, 1)), 50, seed=3)
+    got = Piecewise.empirical(draws)
+    want = Piecewise.empirical(draws.tolist())
+    assert (got.atoms, got.quantile_pieces()) == (want.atoms, want.quantile_pieces())
+    with pytest.raises(ValueError, match="at least one point"):
+        Piecewise.empirical(np.array([]))
 
 
 def test_quantile_levels_walk_the_pieces():

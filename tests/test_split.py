@@ -12,7 +12,6 @@ from mixquant.mixture import MixtureSpec, direct_quantile
 from mixquant.split import (
     _solve_split,
     feasible_alpha_range,
-    optimal_split,
     ordering_predicate,
     split_quantile,
 )
@@ -138,12 +137,6 @@ def test_split_rejects_endpoint_levels():
         split_quantile(m, 1)
 
 
-def test_optimal_split_alone_returns_the_levels():
-    m = MixtureSpec(F(1, 2), Piecewise.point_mass(0), Piecewise.point_mass(1))
-    pt = optimal_split(m, F(1, 4))
-    assert (pt.alpha, pt.beta) == (F(1, 2), 0)
-
-
 # ---------------------------------------------------------------------------
 # randomized agreement with direct inversion
 # ---------------------------------------------------------------------------
@@ -202,7 +195,7 @@ def test_exact_split_equals_reference_on_generated_instances():
             assert _solve_split(mm, p) == ref_solve_split(mm, p), f"instance {index}"
 
 
-def test_exact_split_equals_reference_on_a_wide_pair():
+def _wide_pair() -> MixtureSpec:
     rng = np.random.default_rng(5)
 
     def adjacent(start, n):
@@ -214,11 +207,37 @@ def test_exact_split_equals_reference_on_a_wide_pair():
             [(start + k, start + k + 1, F(w, total)) for k, w in enumerate(weights[:n])],
         )
 
-    m = MixtureSpec(F(2, 5), adjacent(F(0), 100), adjacent(F(1, 3), 100))
+    return MixtureSpec(F(2, 5), adjacent(F(0), 100), adjacent(F(1, 3), 100))
+
+
+def test_exact_split_equals_reference_on_a_wide_pair():
+    m = _wide_pair()
     for k in range(1, 21):
         p = F(k, 21)
         for mm in (m, m.swapped()):
             assert _solve_split(mm, p) == ref_solve_split(mm, p), f"level {p}"
+
+
+def test_exact_split_probes_one_quantile_per_cut(monkeypatch):
+    # Two calls for each of the two early-exit checks, then one per bisected
+    # cut on each side: at a cut the piece's own inverse is its stored right
+    # end, and the final cell's pieces come from the bisections.
+    calls = []
+    real = Piecewise.quantile
+
+    def counting(self, level):
+        calls.append(level)
+        return real(self, level)
+
+    monkeypatch.setattr(Piecewise, "quantile", counting)
+    m = _wide_pair()
+    for mm in (m, m.swapped()):
+        bound = 4 + sum(len(d.quantile_pieces()).bit_length() for d in (mm.x, mm.y))
+        assert bound == 18
+        for k in range(1, 21):
+            calls.clear()
+            _solve_split(mm, F(k, 21))
+            assert len(calls) <= bound, f"level {F(k, 21)}: {len(calls)} quantile calls"
 
 
 # ---------------------------------------------------------------------------
