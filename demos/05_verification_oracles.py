@@ -52,8 +52,8 @@ print(f"  X atoms {mm.x.atoms} segments {mm.x.segments}")
 print(f"  Y atoms {mm.y.atoms} segments {mm.y.segments}")
 
 print()
-print("run_suite over 300 instances (no grid, for speed here)")
-result = run_suite(InstanceGenConfig(seed=7), count=300, grid_steps=None)
+print("run_suite over 300 instances")
+result = run_suite(InstanceGenConfig(seed=7), count=300)
 print(f"  failures: {len(result.failures)}")
 for cell in sorted(result.census):
     print(f"  {cell:>16} {result.census[cell]}")

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .classify import InternalContradictionError
 from .distributions import DomainError
-from .mixture import MixtureSpec, direct_quantile, numeric_quantile
+from .mixture import MixtureSpec, direct_quantile
 from .serialization import (
     SpecParseError,
     extended_to_string,
@@ -160,7 +160,6 @@ def _cmd_curve(args) -> int:
         rows.append(",".join(map(extended_to_string, (x, f, g, fs))))
     rows.append("")
     rows.append("p,Qx,Qy,QS")
-    invert = direct_quantile if (m.is_exact or m.is_parametric_pair) else numeric_quantile
     for j in range(1, steps + 1):
         p = Fraction(j, steps + 1)
         rows.append(
@@ -169,7 +168,7 @@ def _cmd_curve(args) -> int:
                     extended_to_string(p),
                     extended_to_string(m.x.quantile(p)),
                     extended_to_string(m.y.quantile(p)),
-                    extended_to_string(invert(m, p)),
+                    extended_to_string(direct_quantile(m, p)),
                 )
             )
         )

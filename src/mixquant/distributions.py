@@ -396,8 +396,8 @@ class Uniform(Parametric):
     b: float
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError(f"uniform needs a < b, got [{self.a}, {self.b}]")
+        if not NEG_INF < self.a < self.b < POS_INF:
+            raise ValueError(f"uniform needs finite a < b, got [{self.a}, {self.b}]")
 
     def _cdf(self, x: float) -> float:
         if x <= self.a:
@@ -430,8 +430,11 @@ class Normal(Parametric):
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"normal needs sigma > 0, got {self.sigma}")
+        if not (math.isfinite(self.mu) and 0 < self.sigma < POS_INF):
+            raise ValueError(
+                f"normal needs finite mu and finite sigma > 0, "
+                f"got mu={self.mu}, sigma={self.sigma}"
+            )
 
     def _cdf(self, x: float) -> float:
         return _std_normal_cdf((x - self.mu) / self.sigma)
@@ -451,8 +454,8 @@ class Exponential(Parametric):
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ValueError(f"exponential needs rate > 0, got {self.rate}")
+        if not 0 < self.rate < POS_INF:
+            raise ValueError(f"exponential needs finite rate > 0, got {self.rate}")
 
     def _cdf(self, x: float) -> float:
         if x <= 0.0:
@@ -475,8 +478,11 @@ class LogNormal(Parametric):
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"lognormal needs sigma > 0, got {self.sigma}")
+        if not (math.isfinite(self.mu) and 0 < self.sigma < POS_INF):
+            raise ValueError(
+                f"lognormal needs finite mu and finite sigma > 0, "
+                f"got mu={self.mu}, sigma={self.sigma}"
+            )
 
     def _cdf(self, x: float) -> float:
         if x <= 0.0:

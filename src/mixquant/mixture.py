@@ -68,10 +68,6 @@ class MixtureSpec:
         """True when both components are exact piecewise distributions."""
         return self.x.is_exact and self.y.is_exact
 
-    @property
-    def is_parametric_pair(self) -> bool:
-        return not self.x.is_exact and not self.y.is_exact
-
     @cached_property
     def merged(self) -> Piecewise:
         """``merged_distribution(self)``, built on first use and then reused."""
@@ -144,27 +140,31 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
     return Piecewise(atoms, segments)
 
 
+def _check_float_level(m: MixtureSpec, p: Fraction) -> None:
+    """Reject a level in (0, 1) that a mixture with a float component reads as 0 or 1."""
+    if not m.is_exact and not 0.0 < float(p) < 1.0:
+        raise DomainError(
+            f"level {p} rounds to {float(p)} at float resolution; "
+            "only a pair of piecewise components resolves it"
+        )
+
+
 def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
     """inf {x : mixture_cdf(m, x) >= p} by direct inversion of the mixture CDF.
 
-    Exact for piecewise pairs (via the memoised ``m.merged``); for parametric
-    pairs the leftmost crossing is found by monotone bracketing and bisection
-    to width ``DIRECT_BISECTION_TOL``.  Mixed piecewise/parametric pairs are
-    rejected; route those through the grid oracle instead.
+    Exact for piecewise pairs (via the memoised ``m.merged``); for every
+    other pair the leftmost crossing is found by ``numeric_quantile``.
     """
     p = as_fraction(p)
     if not 0 < p < 1:
         raise DomainError(f"direct inversion needs 0 < p < 1, got {p}")
+    _check_float_level(m, p)
     if m.q == 1:
         return m.x.quantile(p)
     if m.q == 0:
         return m.y.quantile(p)
     if m.is_exact:
         return m.merged.quantile(p)
-    if not m.is_parametric_pair:
-        raise ValueError(
-            "direct inversion supports piecewise or parametric pairs, not mixed ones"
-        )
     return numeric_quantile(m, p)
 
 

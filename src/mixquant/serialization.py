@@ -11,15 +11,17 @@ integers, or "n/d" ratio strings; they parse exactly into rationals, and
 scientific notation or raw JSON floats are rejected so no precision is lost
 silently.  Serialization emits a plain decimal string whenever the rational
 is decimal-representable and the "n/d" form otherwise, making parse and
-serialize exact inverses.  Parametric parameters are ordinary floats and
-must be finite.
+serialize exact inverses.  Parametric parameters are ordinary floats, named
+as the family class's fields; the class's constructor checks their range,
+non-finite values included.
 """
 
 from __future__ import annotations
 
-import math
 import re
+from dataclasses import fields
 from fractions import Fraction
+from itertools import chain
 
 from .distributions import (
     Distribution,
@@ -43,6 +45,9 @@ __all__ = [
     "parse_mixture",
     "serialize_mixture",
 ]
+
+#: Each parametric family's document kind; its fields are the class's fields.
+_FAMILIES = {cls.__name__.lower(): cls for cls in (Uniform, Normal, Exponential, LogNormal)}
 
 # An integer or "n/d" ratio (groups: signed numerator, denominator), or a
 # decimal with a point (no groups).
@@ -119,27 +124,48 @@ def extended_to_string(value) -> str:
 
 
 def _parse_float(value, where: str) -> float:
-    """A finite float parameter; infinities and NaN are rejected."""
+    """A float parameter; the family's constructor checks its range."""
     if isinstance(value, bool):
         raise SpecParseError(f"{where}: expected a number, got {value!r}")
     if not isinstance(value, (int, float, str)):
         raise SpecParseError(f"{where}: expected a number, got {type(value).__name__}")
     try:
-        number = float(value.strip() if isinstance(value, str) else value)
+        return float(value.strip() if isinstance(value, str) else value)
     except (ValueError, OverflowError):
         raise SpecParseError(f"{where}: cannot parse {value!r} as a number") from None
-    if not math.isfinite(number):
-        raise SpecParseError(f"{where}: expected a finite number, got {value!r}")
-    return number
 
 
-def _require_fields(obj: dict, kind: str, fields: tuple[str, ...]) -> None:
-    missing = [name for name in fields if name not in obj]
+def _check_fields(obj: dict, what: str, required: tuple[str, ...], optional=("kind",)) -> None:
+    """Every required field present, and none beyond ``required + optional``."""
+    missing = [name for name in required if name not in obj]
     if missing:
-        raise SpecParseError(f"{kind} literal is missing fields {missing}")
-    extra = set(obj) - set(fields) - {"kind"}
+        raise SpecParseError(f"{what} is missing fields {missing}")
+    extra = set(obj).difference(required, optional)
     if extra:
-        raise SpecParseError(f"{kind} literal has unknown fields {sorted(extra)}")
+        raise SpecParseError(f"{what} has unknown fields {sorted(extra)}")
+
+
+def _parse_rows(raw: list, row: str, names: tuple[str, ...], shape: str) -> list[tuple]:
+    """Exact rows of a piecewise literal, each a list of one number per name.
+
+    Well-formed rows parse in one pass over all their numbers, which builds
+    no per-row objects and no labels.  Otherwise the rows are read again in
+    order, with labels, so the message names the first bad row and field.
+    """
+    width = len(names)
+    if all(isinstance(entry, list) and len(entry) == width for entry in raw):
+        try:
+            numbers = iter(list(map(parse_exact_number, chain.from_iterable(raw))))
+        except SpecParseError:
+            pass
+        else:
+            return list(zip(*[numbers] * width))
+    rows = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, list) or len(entry) != width:
+            raise SpecParseError(f"{row} {i} must be a [{', '.join(names)}] {shape}")
+        rows.append(tuple(map(parse_exact_number, entry, [f"{row} {i} {name}" for name in names])))
+    return rows
 
 
 def parse_distribution(obj) -> Distribution:
@@ -148,53 +174,22 @@ def parse_distribution(obj) -> Distribution:
         raise SpecParseError(f"distribution literal must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "piecewise":
-        allowed = ("atoms", "segments")
-        extra = set(obj) - set(allowed) - {"kind"}
-        if extra:
-            raise SpecParseError(f"piecewise literal has unknown fields {sorted(extra)}")
+        _check_fields(obj, "piecewise literal", (), ("kind", "atoms", "segments"))
         atoms_raw = obj.get("atoms", [])
         segments_raw = obj.get("segments", [])
         if not isinstance(atoms_raw, list) or not isinstance(segments_raw, list):
             raise SpecParseError("piecewise atoms/segments must be arrays")
-        atoms = []
-        for i, entry in enumerate(atoms_raw):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise SpecParseError(f"atom {i} must be a [location, mass] pair")
-            atoms.append(
-                (
-                    parse_exact_number(entry[0], f"atom {i} location"),
-                    parse_exact_number(entry[1], f"atom {i} mass"),
-                )
-            )
-        segments = []
-        for i, entry in enumerate(segments_raw):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise SpecParseError(f"segment {i} must be a [left, right, rise] triple")
-            segments.append(
-                (
-                    parse_exact_number(entry[0], f"segment {i} left"),
-                    parse_exact_number(entry[1], f"segment {i} right"),
-                    parse_exact_number(entry[2], f"segment {i} rise"),
-                )
-            )
+        atoms = _parse_rows(atoms_raw, "atom", ("location", "mass"), "pair")
+        segments = _parse_rows(segments_raw, "segment", ("left", "right", "rise"), "triple")
         try:
             return Piecewise(atoms, segments)
         except ValueError as exc:
             raise SpecParseError(f"invalid piecewise literal: {exc}") from None
-    if kind == "uniform":
-        _require_fields(obj, kind, ("a", "b"))
-        cls, names = Uniform, ("a", "b")
-    elif kind == "normal":
-        _require_fields(obj, kind, ("mu", "sigma"))
-        cls, names = Normal, ("mu", "sigma")
-    elif kind == "exponential":
-        _require_fields(obj, kind, ("rate",))
-        cls, names = Exponential, ("rate",)
-    elif kind == "lognormal":
-        _require_fields(obj, kind, ("mu", "sigma"))
-        cls, names = LogNormal, ("mu", "sigma")
-    else:
+    cls = _FAMILIES.get(kind)
+    if cls is None:
         raise SpecParseError(f"unknown distribution kind {kind!r}")
+    names = tuple(f.name for f in fields(cls))
+    _check_fields(obj, f"{kind} literal", names)
     params = [_parse_float(obj[name], f"{kind} {name}") for name in names]
     try:
         return cls(*params)
@@ -220,27 +215,17 @@ def serialize_distribution(d: Distribution) -> dict:
                 for left, right, rise in d.segments
             ],
         }
-    if isinstance(d, Uniform):
-        return {"kind": "uniform", "a": d.a, "b": d.b}
-    if isinstance(d, Normal):
-        return {"kind": "normal", "mu": d.mu, "sigma": d.sigma}
-    if isinstance(d, Exponential):
-        return {"kind": "exponential", "rate": d.rate}
-    if isinstance(d, LogNormal):
-        return {"kind": "lognormal", "mu": d.mu, "sigma": d.sigma}
-    raise ValueError(f"cannot serialize distribution type {type(d).__name__}")
+    kind = type(d).__name__.lower()
+    if _FAMILIES.get(kind) is not type(d):
+        raise ValueError(f"cannot serialize distribution type {type(d).__name__}")
+    return {"kind": kind, **{f.name: getattr(d, f.name) for f in fields(d)}}
 
 
 def parse_mixture(doc) -> MixtureSpec:
     """MixtureSpec from a mixture document."""
     if not isinstance(doc, dict):
         raise SpecParseError(f"mixture document must be an object, got {type(doc).__name__}")
-    missing = [name for name in ("q", "X", "Y") if name not in doc]
-    if missing:
-        raise SpecParseError(f"mixture document is missing fields {missing}")
-    extra = set(doc) - {"q", "X", "Y"}
-    if extra:
-        raise SpecParseError(f"mixture document has unknown fields {sorted(extra)}")
+    _check_fields(doc, "mixture document", ("q", "X", "Y"), ())
     q = parse_exact_number(doc["q"], "mixing weight q")
     if not 0 <= q <= 1:
         raise SpecParseError(f"mixing weight q must lie in [0, 1], got {q}")

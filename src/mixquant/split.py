@@ -33,7 +33,7 @@ from .distributions import (
     as_fraction,
     close,
 )
-from .mixture import MixtureSpec, bisect_float
+from .mixture import MixtureSpec, _check_float_level, bisect_float
 
 __all__ = [
     "QuantileSolution",
@@ -114,11 +114,13 @@ def split_quantile(m: MixtureSpec, p: RealLike) -> QuantileSolution:
     """Mixture quantile via the optimal split; exact for piecewise pairs.
 
     Degenerate weights bypass the split: q = 1 returns the X quantile with
-    alpha* = p and q = 0 the Y quantile with beta* = p.
+    alpha* = p and q = 0 the Y quantile with beta* = p.  A level that rounds
+    to 0 or 1 as a float is rejected unless both components are piecewise.
     """
     p = as_fraction(p)
     if not 0 < p < 1:
         raise DomainError(f"level must lie strictly in (0, 1), got {p}")
+    _check_float_level(m, p)
     if m.q == 1:
         s = m.x.quantile(p)
         return QuantileSolution(s, p, p, True, False, False)

@@ -21,6 +21,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -193,15 +194,24 @@ def _random_component(rng: np.random.Generator, offset: Fraction) -> Piecewise:
     picks = rng.choice(len(ordered), size=min(n_atoms, len(ordered)), replace=False)
     atoms = [ordered[int(i)] for i in picks]
 
-    n_feat = len(atoms) + len(segments)
-    weights = [int(w) for w in rng.integers(1, 5, size=n_feat)]
+    return _weighted_piecewise(rng, atoms, segments)
+
+
+def _weighted_piecewise(
+    rng: np.random.Generator,
+    atoms: list[Fraction],
+    segments: list[tuple[Fraction, Fraction]],
+) -> Piecewise:
+    """Atoms and segments with random integer weights 1-4, normalised to mass 1."""
+    weights = [int(w) for w in rng.integers(1, 5, size=len(atoms) + len(segments))]
     total = sum(weights)
-    atom_list = [(loc, Fraction(w, total)) for loc, w in zip(atoms, weights)]
-    seg_list = [
-        (left, right, Fraction(w, total))
-        for (left, right), w in zip(segments, weights[len(atoms):])
-    ]
-    return Piecewise(atom_list, seg_list)
+    return Piecewise(
+        [(loc, Fraction(w, total)) for loc, w in zip(atoms, weights)],
+        [
+            (left, right, Fraction(w, total))
+            for (left, right), w in zip(segments, weights[len(atoms):])
+        ],
+    )
 
 
 def _choose_level(rng: np.random.Generator, m: MixtureSpec) -> Fraction:
@@ -249,15 +259,7 @@ def _coordinated_pair(
             atoms.append(t + Fraction(1, 2) + Fraction(int(rng.integers(0, 2)), 2))
         if rng.random() < 0.35:
             segments.append((t + 1, t + 2))
-        weights = [int(w) for w in rng.integers(1, 5, size=len(atoms) + len(segments))]
-        total = sum(weights)
-        return Piecewise(
-            [(loc, Fraction(w, total)) for loc, w in zip(atoms, weights)],
-            [
-                (left, right, Fraction(w, total))
-                for (left, right), w in zip(segments, weights[len(atoms):])
-            ],
-        )
+        return _weighted_piecewise(rng, atoms, segments)
 
     return build(pattern in (0, 2)), build(pattern in (1, 2)), t
 
@@ -382,7 +384,7 @@ def cross_check(
 
     # Dual route: direct CDF inversion.
     direct_value = exact_match = deviation = None
-    if 0 < m.q < 1 and (exact or m.is_parametric_pair):
+    if 0 < m.q < 1 and m.x.is_exact == m.y.is_exact:
         direct_value = direct_quantile(m, p)
         if exact:
             exact_match = s_p == direct_value
@@ -510,32 +512,28 @@ class SuiteResult:
         return not self.failures
 
 
-def _suite_task(args) -> tuple[int, str | None, tuple[str, ...], str]:
-    cfg, index, grid_steps = args
+#: Grid points of the scan oracle in every ``run_suite`` check.
+_SUITE_GRID_STEPS = 10_001
+
+
+def _suite_task(
+    cfg: InstanceGenConfig, index: int
+) -> tuple[int, str | None, tuple[str, ...], str]:
     m, p = generate_instance(cfg, index)
-    grid_cfg = (
-        GridOracleConfig.from_mixture(m, steps=grid_steps) if grid_steps else None
-    )
-    report = cross_check(m, p, grid_cfg)
+    report = cross_check(m, p, GridOracleConfig.from_mixture(m, steps=_SUITE_GRID_STEPS))
     return index, report.cell_id, report.failures, report.summary_line(index)
 
 
-def run_suite(
-    cfg: InstanceGenConfig,
-    count: int,
-    jobs: int = 1,
-    grid_steps: int | None = 10_001,
-) -> SuiteResult:
-    """Cross-check ``count`` generated instances; deterministic merge order."""
+def run_suite(cfg: InstanceGenConfig, count: int, jobs: int = 1) -> SuiteResult:
+    """Cross-check ``count`` generated instances, reported in index order."""
     if count < 1:
         raise DomainError(f"instance count must be positive, got {count}")
-    tasks = [(cfg, k, grid_steps) for k in range(count)]
+    task = partial(_suite_task, cfg)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_suite_task, tasks, chunksize=64))
-        rows.sort(key=lambda row: row[0])
+            rows = list(pool.map(task, range(count), chunksize=64))
     else:
-        rows = [_suite_task(task) for task in tasks]
+        rows = list(map(task, range(count)))
     census: Counter = Counter()
     failures = []
     lines = []

@@ -327,6 +327,14 @@ def test_out_of_range_level_exits_3(spec_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_level_below_float_resolution_exits_3(spec_file, capsys):
+    # 1 - 10**-20 rounds to 1.0, which the float route cannot tell from 1.
+    spec = spec_file(NORMAL_PAIR)
+    for command in ("quantile", "classify"):
+        assert main([command, "--spec", spec, "--p", "0.99999999999999999999"]) == 3
+        assert "float resolution" in capsys.readouterr().err
+
+
 def test_contradiction_exits_4(spec_file, capsys):
     assert main(["classify", "--spec", spec_file(SHARED_ATOM), "--p", "0.25"]) == 4
     assert "internal contradiction" in capsys.readouterr().err

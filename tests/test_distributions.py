@@ -1,5 +1,6 @@
 """Distribution layer: exact piecewise CDFs/quantiles and parametric families."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -279,6 +280,29 @@ def test_lognormal_family_matches_scipy():
     ps = np.linspace(0.01, 0.99, 21)
     ref_q = stats.lognorm.ppf(ps, 0.75, scale=np.exp(0.25))
     assert np.allclose([d.quantile(p) for p in ps], ref_q)
+
+
+#: Valid parameters of each family, for tests that spoil one of them.
+FAMILY_PARAMS = {
+    Uniform: {"a": 0.0, "b": 1.0},
+    Normal: {"mu": 0.0, "sigma": 1.0},
+    Exponential: {"rate": 1.0},
+    LogNormal: {"mu": 0.0, "sigma": 1.0},
+}
+
+
+def spoiled_parameters():
+    """(family, parameters) with each parameter in turn set to +inf, -inf and NaN."""
+    for cls, params in FAMILY_PARAMS.items():
+        for name in params:
+            for bad in (math.inf, -math.inf, math.nan):
+                yield pytest.param(cls, {**params, name: bad}, id=f"{cls.__name__}-{name}-{bad}")
+
+
+@pytest.mark.parametrize("cls, params", spoiled_parameters())
+def test_families_reject_non_finite_parameters(cls, params):
+    with pytest.raises(ValueError, match="finite"):
+        cls(**params)
 
 
 def test_parametric_flatness_outside_support():

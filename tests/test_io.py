@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixquant.distributions import Normal, Piecewise, Uniform
+from mixquant.distributions import Exponential, LogNormal, Normal, Piecewise, Uniform
 from mixquant.mixture import MixtureSpec
 from mixquant.serialization import (
     SpecParseError,
@@ -16,10 +16,12 @@ from mixquant.serialization import (
     parse_distribution,
     parse_exact_number,
     parse_mixture,
+    serialize_distribution,
     serialize_mixture,
 )
 
 from reference import ref_parse_exact_number
+from test_distributions import spoiled_parameters
 
 # ---------------------------------------------------------------------------
 # exact number strings
@@ -134,6 +136,152 @@ def test_parametric_documents_round_trip():
     back = parse_mixture(serialize_mixture(m))
     assert back.x == Normal(0.5, 1.5)
     assert back.y == Uniform(-1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Uniform(-1.5, 2.0),
+        Normal(0.5, 1.5),
+        Exponential(0.25),
+        LogNormal(-2.0, 0.75),
+        Piecewise(atoms=[(F(1, 3), F(1, 2))], segments=[(0, F(1, 4), F(1, 2))]),
+    ],
+    ids=lambda d: type(d).__name__,
+)
+def test_every_family_document_round_trips(d):
+    doc = serialize_distribution(d)
+    assert doc["kind"] == type(d).__name__.lower()
+    back = parse_distribution(json.loads(json.dumps(doc)))
+    assert back == d and type(back) is type(d)
+    assert serialize_distribution(back) == doc
+
+
+def test_parametric_documents_list_the_class_fields_in_order():
+    assert list(serialize_distribution(Uniform(0.0, 1.0))) == ["kind", "a", "b"]
+    assert list(serialize_distribution(Normal(0.0, 1.0))) == ["kind", "mu", "sigma"]
+    assert list(serialize_distribution(Exponential(2.0))) == ["kind", "rate"]
+    assert list(serialize_distribution(LogNormal(0.0, 1.0))) == ["kind", "mu", "sigma"]
+
+
+@pytest.mark.parametrize("cls, params", spoiled_parameters())
+def test_parse_rejects_non_finite_parameters(cls, params):
+    # As a Python float and as the string JSON can carry.
+    for spell in (float, str):
+        literal = {"kind": cls.__name__.lower(), **{k: spell(v) for k, v in params.items()}}
+        with pytest.raises(SpecParseError, match="finite"):
+            parse_distribution(literal)
+
+
+_UNIT = {"kind": "uniform", "a": 0, "b": 1}
+_RAW_FLOAT = "raw JSON floats are not exact; write the number as a decimal string"
+
+
+def _piecewise(atoms, segments=()):
+    return {"kind": "piecewise", "atoms": atoms, "segments": list(segments)}
+
+
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    [
+        (parse_distribution, _piecewise([[0.5, "1"]]), f"atom 0 location: {_RAW_FLOAT}"),
+        (
+            parse_distribution,
+            _piecewise([["0", "1"]], [["0", 1.5, "1"]]),
+            f"segment 0 right: {_RAW_FLOAT}",
+        ),
+        (parse_distribution, {"kind": "beta", "a": 1, "b": 2}, "unknown distribution kind 'beta'"),
+        (parse_distribution, {"a": 0, "b": 1}, "unknown distribution kind None"),
+        (parse_distribution, [1], "distribution literal must be an object, got list"),
+        (
+            parse_distribution,
+            {"kind": "normal", "mu": 0, "sigma": 1, "tail": 2},
+            "normal literal has unknown fields ['tail']",
+        ),
+        (
+            parse_distribution,
+            {"kind": "piecewise", "atoms": [], "mass": []},
+            "piecewise literal has unknown fields ['mass']",
+        ),
+        (
+            parse_distribution,
+            {"kind": "normal", "mu": 0},
+            "normal literal is missing fields ['sigma']",
+        ),
+        (parse_distribution, {"kind": "uniform"}, "uniform literal is missing fields ['a', 'b']"),
+        (parse_distribution, _piecewise([[1]]), "atom 0 must be a [location, mass] pair"),
+        (
+            parse_distribution,
+            _piecewise([], [[0, 1]]),
+            "segment 0 must be a [left, right, rise] triple",
+        ),
+        (parse_distribution, _piecewise("x"), "piecewise atoms/segments must be arrays"),
+        # With several bad rows, the first one in order is reported.
+        (parse_distribution, _piecewise([["0", 0.5], [1]]), f"atom 0 mass: {_RAW_FLOAT}"),
+        (
+            parse_distribution,
+            _piecewise([["0", "1/2"], [1]]),
+            "atom 1 must be a [location, mass] pair",
+        ),
+        (
+            parse_distribution,
+            _piecewise([["0", "1"]], [["0", "1", "1"], ["2", "3e1", "1"], [1]]),
+            "segment 1 right: '3e1' is not a plain decimal or n/d ratio "
+            "(scientific notation is rejected)",
+        ),
+        (
+            parse_distribution,
+            {"kind": "normal", "mu": True, "sigma": 1},
+            "normal mu: expected a number, got True",
+        ),
+        (
+            parse_distribution,
+            {"kind": "normal", "mu": [0], "sigma": 1},
+            "normal mu: expected a number, got list",
+        ),
+        (
+            parse_distribution,
+            {"kind": "normal", "mu": "abc", "sigma": 1},
+            "normal mu: cannot parse 'abc' as a number",
+        ),
+        (parse_mixture, [1, 2, 3], "mixture document must be an object, got list"),
+        (parse_mixture, {"q": "0.5", "X": _UNIT}, "mixture document is missing fields ['Y']"),
+        (parse_mixture, {"Z": 1}, "mixture document is missing fields ['q', 'X', 'Y']"),
+        (
+            parse_mixture,
+            {"q": "0.5", "X": _UNIT, "Y": _UNIT, "Z": _UNIT},
+            "mixture document has unknown fields ['Z']",
+        ),
+        (
+            parse_mixture,
+            {"q": "1.5", "X": _UNIT, "Y": _UNIT},
+            "mixing weight q must lie in [0, 1], got 3/2",
+        ),
+        (parse_mixture, {"q": 0.5, "X": _UNIT, "Y": _UNIT}, f"mixing weight q: {_RAW_FLOAT}"),
+        (
+            parse_mixture,
+            {"q": "0.5", "X": _piecewise([["0", "0.5"]]), "Y": _UNIT},
+            "invalid piecewise literal: atom masses plus segment rises must equal 1, got 1/2",
+        ),
+        # The family range checks name finiteness too, since they also
+        # reject infinities and NaN.
+        (
+            parse_distribution,
+            {"kind": "normal", "mu": 0, "sigma": -1},
+            "invalid normal literal: normal needs finite mu and finite sigma > 0, "
+            "got mu=0.0, sigma=-1.0",
+        ),
+        (
+            parse_distribution,
+            {"kind": "uniform", "a": 2, "b": 1},
+            "invalid uniform literal: uniform needs finite a < b, got [2.0, 1.0]",
+        ),
+    ],
+)
+def test_malformed_literal_messages(parse, doc, message):
+    with pytest.raises(SpecParseError) as caught:
+        parse(doc)
+    assert str(caught.value) == message
 
 
 def test_parse_rejects_raw_floats_in_piecewise():

@@ -74,9 +74,8 @@ def test_swapped_reverses_roles():
 def test_exactness_flags():
     pm = Piecewise.point_mass(0)
     assert MixtureSpec(F(1, 2), pm, pm).is_exact
-    assert MixtureSpec(F(1, 2), Normal(0, 1), Uniform(0, 1)).is_parametric_pair
-    mixed = MixtureSpec(F(1, 2), pm, Normal(0, 1))
-    assert not mixed.is_exact and not mixed.is_parametric_pair
+    assert not MixtureSpec(F(1, 2), Normal(0, 1), Uniform(0, 1)).is_exact
+    assert not MixtureSpec(F(1, 2), pm, Normal(0, 1)).is_exact
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +167,11 @@ def test_direct_quantile_rejects_endpoint_levels():
         direct_quantile(m, 1)
 
 
-def test_direct_quantile_rejects_mixed_pairs():
-    m = MixtureSpec(F(1, 2), Piecewise.point_mass(0), Normal(0, 1))
-    with pytest.raises(ValueError):
-        direct_quantile(m, F(1, 2))
+def test_direct_quantile_equals_numeric_on_a_mixed_pair():
+    m = MixtureSpec(F(1, 2), Piecewise.uniform(0, 1), Normal(0, 1))
+    for p in (F(1, 10), F(1, 2), F(9, 10)):
+        assert direct_quantile(m, p) == numeric_quantile(m, p)
+        assert direct_quantile(m.swapped(), p) == numeric_quantile(m.swapped(), p)
 
 
 @settings(max_examples=100, deadline=None)

@@ -54,6 +54,44 @@ def test_feasible_range_rejects_degenerate_arguments():
 
 
 # ---------------------------------------------------------------------------
+# levels that round to 0 or 1 as floats
+# ---------------------------------------------------------------------------
+
+#: Exact levels in (0, 1) whose float is 1.0 and 0.0.
+BELOW_ONE = 1 - F(1, 10**20)
+ABOVE_ZERO = F(1, 10**400)
+
+
+@pytest.mark.parametrize("p", [BELOW_ONE, ABOVE_ZERO], ids=["below-one", "above-zero"])
+@pytest.mark.parametrize("q", [F(3, 10), F(0), F(1)])
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (Normal(0, 1), Normal(1, 1)),
+        (Uniform(0, 1), Uniform(2, 3)),
+        (Piecewise.uniform(0, 1), Normal(0, 1)),
+    ],
+    ids=["normal", "uniform", "mixed"],
+)
+def test_float_route_rejects_levels_below_float_resolution(x, y, q, p):
+    assert float(p) in (0.0, 1.0)
+    for m in (MixtureSpec(q, x, y), MixtureSpec(q, y, x)):
+        for route in (split_quantile, direct_quantile):
+            with pytest.raises(DomainError, match="float resolution"):
+                route(m, p)
+
+
+def test_exact_pairs_answer_exactly_at_levels_below_float_resolution():
+    m = MixtureSpec(F(1, 2), Piecewise.uniform(0, 1), Piecewise.uniform(2, 3))
+    # Half the mass on each unit interval: S = 2p below 1/2, 2p + 1 above.
+    for pair in (m, m.swapped()):
+        assert split_quantile(pair, ABOVE_ZERO).s_p == 2 * ABOVE_ZERO
+        assert split_quantile(pair, BELOW_ONE).s_p == 2 * BELOW_ONE + 1
+        for p in (ABOVE_ZERO, BELOW_ONE):
+            assert split_quantile(pair, p).s_p == direct_quantile(pair, p)
+
+
+# ---------------------------------------------------------------------------
 # the ordering predicate
 # ---------------------------------------------------------------------------
 

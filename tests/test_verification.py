@@ -232,7 +232,7 @@ def test_check_report_round_trips_to_dict():
 
 
 def test_run_suite_smoke():
-    result = run_suite(InstanceGenConfig(seed=20240811), count=60, grid_steps=None)
+    result = run_suite(InstanceGenConfig(seed=20240811), count=60)
     assert result.passed
     assert result.count == 60
     assert sum(result.census.values()) == 60
@@ -241,8 +241,8 @@ def test_run_suite_smoke():
 
 def test_run_suite_parallel_merge_is_deterministic():
     cfg = InstanceGenConfig(seed=20240811)
-    serial = run_suite(cfg, count=40, jobs=1, grid_steps=None)
-    parallel = run_suite(cfg, count=40, jobs=2, grid_steps=None)
+    serial = run_suite(cfg, count=40, jobs=1)
+    parallel = run_suite(cfg, count=40, jobs=2)
     assert serial.lines == parallel.lines
     assert serial.census == parallel.census
 
