@@ -141,11 +141,16 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
 
 
 def _check_float_level(m: MixtureSpec, p: Fraction) -> None:
-    """Reject a level in (0, 1) that a mixture with a float component reads as 0 or 1."""
-    if not m.is_exact and not 0.0 < float(p) < 1.0:
+    """Reject a level in (0, 1) that a float component which answers reads as 0 or 1.
+
+    X alone answers at q = 1, Y alone at q = 0, and both otherwise.
+    """
+    if 0.0 < float(p) < 1.0:
+        return
+    if not (m.x.is_exact if m.q == 1 else m.y.is_exact if m.q == 0 else m.is_exact):
         raise DomainError(
             f"level {p} rounds to {float(p)} at float resolution; "
-            "only a pair of piecewise components resolves it"
+            "only piecewise components resolve it"
         )
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import fields
 from fractions import Fraction
-from itertools import chain
 
 from .distributions import (
     Distribution,
@@ -148,23 +147,19 @@ def _check_fields(obj: dict, what: str, required: tuple[str, ...], optional=("ki
 def _parse_rows(raw: list, row: str, names: tuple[str, ...], shape: str) -> list[tuple]:
     """Exact rows of a piecewise literal, each a list of one number per name.
 
-    Well-formed rows parse in one pass over all their numbers, which builds
-    no per-row objects and no labels.  Otherwise the rows are read again in
-    order, with labels, so the message names the first bad row and field.
+    A row that fails to parse is read again with labels, so the message
+    names the row and field; well-formed rows build no labels.
     """
     width = len(names)
-    if all(isinstance(entry, list) and len(entry) == width for entry in raw):
-        try:
-            numbers = iter(list(map(parse_exact_number, chain.from_iterable(raw))))
-        except SpecParseError:
-            pass
-        else:
-            return list(zip(*[numbers] * width))
     rows = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != width:
             raise SpecParseError(f"{row} {i} must be a [{', '.join(names)}] {shape}")
-        rows.append(tuple(map(parse_exact_number, entry, [f"{row} {i} {name}" for name in names])))
+        try:
+            rows.append(tuple(map(parse_exact_number, entry)))
+        except SpecParseError:
+            labels = [f"{row} {i} {name}" for name in names]
+            rows.append(tuple(map(parse_exact_number, entry, labels)))  # raises, with the label
     return rows
 
 

@@ -115,7 +115,8 @@ def split_quantile(m: MixtureSpec, p: RealLike) -> QuantileSolution:
 
     Degenerate weights bypass the split: q = 1 returns the X quantile with
     alpha* = p and q = 0 the Y quantile with beta* = p.  A level that rounds
-    to 0 or 1 as a float is rejected unless both components are piecewise.
+    to 0 or 1 as a float is rejected unless each component that answers it
+    is piecewise.
     """
     p = as_fraction(p)
     if not 0 < p < 1:

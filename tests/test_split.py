@@ -69,9 +69,8 @@ ABOVE_ZERO = F(1, 10**400)
     [
         (Normal(0, 1), Normal(1, 1)),
         (Uniform(0, 1), Uniform(2, 3)),
-        (Piecewise.uniform(0, 1), Normal(0, 1)),
     ],
-    ids=["normal", "uniform", "mixed"],
+    ids=["normal", "uniform"],
 )
 def test_float_route_rejects_levels_below_float_resolution(x, y, q, p):
     assert float(p) in (0.0, 1.0)
@@ -79,6 +78,25 @@ def test_float_route_rejects_levels_below_float_resolution(x, y, q, p):
         for route in (split_quantile, direct_quantile):
             with pytest.raises(DomainError, match="float resolution"):
                 route(m, p)
+
+
+@pytest.mark.parametrize("p", [BELOW_ONE, ABOVE_ZERO], ids=["below-one", "above-zero"])
+def test_mixed_pairs_reject_levels_below_float_resolution_unless_only_piecewise_answers(p):
+    exact, approx = Piecewise.uniform(0, 1), Normal(0, 1)
+    # The float component takes part: both at 0 < q < 1, alone at q in {0, 1}.
+    for m in (
+        MixtureSpec(F(3, 10), exact, approx),
+        MixtureSpec(F(3, 10), approx, exact),
+        MixtureSpec(F(1), approx, exact),
+        MixtureSpec(F(0), exact, approx),
+    ):
+        for route in (split_quantile, direct_quantile):
+            with pytest.raises(DomainError, match="only piecewise components resolve it"):
+                route(m, p)
+    # The piecewise component answers alone, exactly: Q(p) = p on [0, 1].
+    for m in (MixtureSpec(F(1), exact, approx), MixtureSpec(F(0), approx, exact)):
+        assert split_quantile(m, p).s_p == p
+        assert direct_quantile(m, p) == p
 
 
 def test_exact_pairs_answer_exactly_at_levels_below_float_resolution():
