@@ -11,6 +11,10 @@ class (all rational arithmetic), standard parametric families, the split
 solver, a classifier for the sixteen-cell case table of CDF behaviors at
 the quantile, and independent verification oracles (direct inversion, grid
 scan, Monte Carlo).
+
+Only sampling, the grid and Monte Carlo oracles and the instance generator
+need numpy (and the grid oracle scipy); they import it when called, so the
+package and its exact path load without either.
 """
 
 from .classify import (

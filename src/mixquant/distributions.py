@@ -25,8 +25,6 @@ from operator import attrgetter, itemgetter
 from statistics import NormalDist
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 __all__ = [
     "NEG_INF",
     "POS_INF",
@@ -315,6 +313,8 @@ class Piecewise(Distribution):
         return self._pieces
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         weights = np.array(
             [float(piece.lev_hi - piece.lev_lo) for piece in self._pieces]
         )
@@ -398,6 +398,10 @@ class Uniform(Parametric):
     def __post_init__(self) -> None:
         if not NEG_INF < self.a < self.b < POS_INF:
             raise ValueError(f"uniform needs finite a < b, got [{self.a}, {self.b}]")
+        if self.b - self.a == POS_INF:
+            raise ValueError(
+                f"uniform needs a finite width b - a, got [{self.a}, {self.b}]"
+            )
 
     def _cdf(self, x: float) -> float:
         if x <= self.a:
@@ -456,6 +460,10 @@ class Exponential(Parametric):
     def __post_init__(self) -> None:
         if not 0 < self.rate < POS_INF:
             raise ValueError(f"exponential needs finite rate > 0, got {self.rate}")
+        if 1.0 / self.rate == POS_INF:
+            raise ValueError(
+                f"exponential needs a finite scale 1/rate, got rate={self.rate}"
+            )
 
     def _cdf(self, x: float) -> float:
         if x <= 0.0:

@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
-import numpy as np
-
 from .distributions import (
     DomainError,
     Distribution,
@@ -226,6 +224,19 @@ def bisect_float(pred, lo: float, hi: float, width: float) -> tuple[float, float
     return lo, hi
 
 
+def _draws(m: MixtureSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sample``'s indicator mask and its X and Y draws, before they are
+    scattered into draw order."""
+    import numpy as np
+
+    g_ind, g_x, g_y = np.random.default_rng(seed).spawn(3)
+    take_x = g_ind.random(n) < float(m.q)
+    n_x = int(take_x.sum())
+    x_draws = m.x.sample(n_x, g_x) if n_x else np.empty(0)
+    y_draws = m.y.sample(n - n_x, g_y) if n - n_x else np.empty(0)
+    return take_x, x_draws, y_draws
+
+
 def sample(m: MixtureSpec, n: int, seed: int) -> np.ndarray:
     """n draws of S: the indicator I ~ Bernoulli(q) picks X or Y per draw.
 
@@ -234,13 +245,10 @@ def sample(m: MixtureSpec, n: int, seed: int) -> np.ndarray:
     """
     if n < 0:
         raise DomainError(f"sample count must be nonnegative, got {n}")
-    root = np.random.default_rng(seed)
-    g_ind, g_x, g_y = root.spawn(3)
-    take_x = g_ind.random(n) < float(m.q)
+    import numpy as np
+
+    take_x, x_draws, y_draws = _draws(m, n, seed)
     out = np.empty(n, dtype=float)
-    n_x = int(take_x.sum())
-    if n_x:
-        out[take_x] = m.x.sample(n_x, g_x)
-    if n - n_x:
-        out[~take_x] = m.y.sample(n - n_x, g_y)
+    out[take_x] = x_draws
+    out[~take_x] = y_draws
     return out

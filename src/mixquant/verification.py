@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-
-import numpy as np
 
 from .classify import ClassificationReport, InternalContradictionError, classify
 from .distributions import (
@@ -39,8 +36,7 @@ from .distributions import (
     close,
     leq,
 )
-from .mixture import MixtureSpec, direct_quantile, mixture_cdf, mixture_cdf_left_limit, \
-    sample
+from .mixture import MixtureSpec, _draws, direct_quantile, mixture_cdf, mixture_cdf_left_limit
 from .split import QuantileSolution, split_quantile
 
 __all__ = [
@@ -94,6 +90,8 @@ class GridOracleConfig:
 
 def _cdf_grid(d: Distribution, xs: np.ndarray) -> np.ndarray:
     """Vectorized CDF on a grid; independent of the class's own query path."""
+    import numpy as np
+
     if isinstance(d, Piecewise):
         out = np.zeros_like(xs)
         for loc, mass in d.atoms:
@@ -127,6 +125,8 @@ def grid_oracle_quantile(m: MixtureSpec, p, cfg: GridOracleConfig) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"grid oracle needs 0 < p < 1, got {p}")
+    import numpy as np
+
     xs = np.linspace(cfg.lo, cfg.hi, cfg.steps)
     q = float(m.q)
     fs = q * _cdf_grid(m.x, xs) + (1.0 - q) * _cdf_grid(m.y, xs)
@@ -146,8 +146,12 @@ def monte_carlo_quantile(m: MixtureSpec, p, n: int, seed: int) -> float:
         raise DomainError(f"Monte Carlo oracle needs 0 < p < 1, got {p}")
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
+    import numpy as np
+
     rank = math.ceil(n * p)
-    draws = sample(m, n, seed)
+    # The order statistic ignores draw order, so the draws stay unscattered.
+    _, x_draws, y_draws = _draws(m, n, seed)
+    draws = np.concatenate((x_draws, y_draws))
     return float(np.partition(draws, rank - 1)[rank - 1])
 
 
@@ -286,6 +290,8 @@ def generate_instance(cfg: InstanceGenConfig, index: int) -> tuple[MixtureSpec, 
     many rejections the second component is shifted off the lattice, which
     removes coincidences entirely.
     """
+    import numpy as np
+
     rng = np.random.default_rng([cfg.seed, index])
     if rng.random() < 0.18:
         for attempt in range(16):
@@ -530,6 +536,8 @@ def run_suite(cfg: InstanceGenConfig, count: int, jobs: int = 1) -> SuiteResult:
         raise DomainError(f"instance count must be positive, got {count}")
     task = partial(_suite_task, cfg)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(task, range(count), chunksize=64))
     else:

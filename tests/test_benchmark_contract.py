@@ -2,20 +2,23 @@
 
 The harness is read as source, not imported, so this check runs without it:
 every traced ``(module, attribute path)`` must name a callable defined in
-that module or class, and every ``mq.<name>`` the workloads use must be an
-attribute of the package.
+that module or class and be loaded by the harness's own imports, and every
+``mq.<name>`` the workloads use must be an attribute of the package.
 """
 
 import ast
 import importlib
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
 import mixquant
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _tree(name: str) -> ast.Module:
@@ -46,6 +49,22 @@ def test_traced_names_resolve_to_callables_defined_there(module, path):
     target = vars(owner)[attr]
     assert callable(target)
     assert target.__module__ == f"mixquant.{module}"
+
+
+def test_harness_imports_load_every_traced_module():
+    # The tracer finds each traced module in sys.modules after the worker's
+    # ``import mixquant, mixquant.cli``; a module loaded only on first use
+    # would be missing there, and a traced run would fail.
+    modules = sorted({f"mixquant.{module}" for module, _ in TRACED})
+    code = f"import sys, mixquant, mixquant.cli; print([m for m in {modules!r} if m not in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_workload_package_names_exist():

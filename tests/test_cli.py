@@ -312,6 +312,9 @@ def test_missing_file_exits_2(tmp_path):
         {"kind": "normal", "mu": "inf", "sigma": 1},
         {"kind": "exponential", "rate": "inf"},
         {"kind": "normal", "mu": "nan", "sigma": 1},
+        # Finite parameters whose width or scale is not.
+        {"kind": "uniform", "a": "-1e308", "b": "1e308"},
+        {"kind": "exponential", "rate": "1e-310"},
     ],
 )
 def test_non_finite_parameter_exits_2(spec_file, capsys, component):

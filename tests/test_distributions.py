@@ -292,17 +292,28 @@ FAMILY_PARAMS = {
 
 
 def spoiled_parameters():
-    """(family, parameters) with each parameter in turn set to +inf, -inf and NaN."""
+    """(family, parameters) with each parameter in turn set to +inf, -inf and
+    NaN, then finite parameters whose derived scale is not finite: the width
+    b - a of a uniform and the mean 1/rate of an exponential."""
     for cls, params in FAMILY_PARAMS.items():
         for name in params:
             for bad in (math.inf, -math.inf, math.nan):
                 yield pytest.param(cls, {**params, name: bad}, id=f"{cls.__name__}-{name}-{bad}")
+    yield pytest.param(Uniform, {"a": -1e308, "b": 1e308}, id="Uniform-width")
+    yield pytest.param(Exponential, {"rate": 1e-310}, id="Exponential-scale")
 
 
 @pytest.mark.parametrize("cls, params", spoiled_parameters())
 def test_families_reject_non_finite_parameters(cls, params):
     with pytest.raises(ValueError, match="finite"):
         cls(**params)
+
+
+def test_largest_finite_scales_are_accepted():
+    # Just inside the bounds, quantile and CDF stay finite.
+    d = Uniform(-8e307, 8e307)
+    assert d.quantile(0.5) == 0.0 and d.cdf(0.0) == 0.5
+    assert math.isfinite(Exponential(1e-308).quantile(0.5))
 
 
 def test_parametric_flatness_outside_support():

@@ -1,6 +1,10 @@
 """Mixture CDF assembly, exact merging, and direct quantile inversion."""
 
 import ast
+import glob
+import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixquant.distributions import DomainError, Normal, Piecewise, Uniform
+from mixquant.distributions import DomainError, Exponential, Normal, Piecewise, Uniform
 from mixquant.mixture import (
     MixtureSpec,
     direct_quantile,
@@ -21,7 +25,8 @@ from mixquant.mixture import (
     numeric_quantile,
     sample,
 )
-from mixquant.verification import InstanceGenConfig, generate_instance
+from mixquant.serialization import serialize_mixture
+from mixquant.verification import InstanceGenConfig, generate_instance, monte_carlo_quantile
 
 from reference import ref_cdf, ref_merged, ref_quantile
 from test_distributions import levels, piecewise_dists, points
@@ -53,6 +58,96 @@ def test_import_leaves_out_scipy_and_mixture_leaves_out_split():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not {name for name in imported if name and name.split(".")[-1] == "split"}
+
+
+#: Modules that only sampling, the grid and Monte Carlo oracles, the instance
+#: generator and ``verify --jobs`` need; the exact path must not load them.
+HEAVY = ("numpy", "scipy", "concurrent.futures")
+
+
+def _in_fresh_interpreter(code: str) -> tuple[list, list]:
+    """Run ``code`` in a fresh interpreter: the literals it printed, one per
+    line, and the ``HEAVY`` modules loaded once it finished."""
+    probe = f"{code}\nimport sys\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    *printed, heavy = map(ast.literal_eval, out.stdout.splitlines())
+    return printed, heavy
+
+
+def test_import_loads_no_numpy_scipy_or_process_pool():
+    assert _in_fresh_interpreter("import mixquant, mixquant.cli") == ([], [])
+
+
+def test_exact_cli_commands_load_no_numpy(tmp_path):
+    docs = {
+        "exact": MixtureSpec(
+            F(1, 3),
+            Piecewise([(0, F(1, 2))], [(1, 2, F(1, 2))]),
+            Piecewise.uniform(F(1, 2), 3),
+        ),
+        "parametric": MixtureSpec(F(1, 2), Normal(0.0, 1.0), Exponential(2.0)),
+    }
+    specs = []
+    for name, m in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(serialize_mixture(m)))
+        specs.append(str(path))
+    out = str(tmp_path / "curve.csv")
+    code = f"""
+import contextlib, io
+from mixquant.cli import main
+codes = []
+for spec in {specs!r}:
+    for fmt in ("text", "machine"):
+        for argv in (
+            ["quantile", "--spec", spec, "--p", "1/2"],
+            ["classify", "--spec", spec, "--p", "1/2"],
+            ["curve", "--spec", spec, "--from", "-1", "--to", "3", "--steps", "5", "--out", {out!r}],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(["--format", fmt, *argv]))
+print(codes)
+"""
+    # Every command succeeds, and none of them needed numpy.
+    assert _in_fresh_interpreter(code) == ([[0] * 12], [])
+
+
+def _import_time_imports(tree: ast.Module):
+    """Modules named by the import statements that run when the module loads.
+
+    Function bodies run only when called, so they are skipped; class bodies
+    and module-level ``if``/``try`` blocks run at import and are searched.
+    """
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_numpy_scipy_or_process_pool_at_load():
+    packages = {name.split(".")[0] for name in HEAVY}
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "mixquant", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            names = list(_import_time_imports(ast.parse(handle.read())))
+        assert names, path  # the walk reaches every module's own imports
+        heavy = [name for name in names if name.split(".")[0] in packages]
+        if heavy:
+            found[os.path.basename(path)] = heavy
+    assert found == {}
 
 
 def test_mixing_weight_is_validated_and_exact():
@@ -219,3 +314,40 @@ def test_sampling_is_deterministic_and_mixes():
 def test_sampling_degenerate_weights():
     m = MixtureSpec(1, Piecewise.point_mass(2), Piecewise.point_mass(9))
     assert np.all(sample(m, 100, seed=1) == 2.0)
+
+
+#: A parametric, a piecewise and a mixed component pair.
+SAMPLING_PAIRS = {
+    "parametric": (Normal(0.0, 1.0), Exponential(2.0)),
+    "piecewise": (
+        Piecewise([(0, F(1, 2))], [(1, 3, F(1, 2))]),
+        Piecewise.uniform(-1, 2),
+    ),
+    "mixed": (Piecewise([(1, F(1, 4)), (2, F(3, 4))], []), Uniform(-1.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, q, digest",
+    [
+        ("parametric", F(1, 3), "d4e97bc4d90c3407e6d1fcf7be58f619d6cdd39a036e65742f0da7e3cdebdc0e"),
+        ("piecewise", F(1, 2), "b713bd79087850f7b0a36022a001039e72303be2c62c01605855ce44ee5af266"),
+        ("mixed", F(3, 4), "df5782d1b36966839bc5a55ca187e35b195305a1b53ea425e2569cb2e1cbf5de"),
+    ],
+)
+def test_sample_output_is_pinned(kind, q, digest):
+    # The sha256 of the draws' bytes: any change to which substream draws
+    # what, or to where a draw lands in the output, moves it.  The digests
+    # also pin numpy's Generator streams, so a numpy upgrade may move them.
+    m = MixtureSpec(q, *SAMPLING_PAIRS[kind])
+    assert hashlib.sha256(sample(m, 20_000, seed=7).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q", [F(0), F(1, 3), F(1)])
+@pytest.mark.parametrize("kind", SAMPLING_PAIRS)
+def test_monte_carlo_is_the_order_statistic_of_sample(kind, q):
+    m = MixtureSpec(q, *SAMPLING_PAIRS[kind])
+    n = 20_000
+    ordered = np.sort(sample(m, n, seed=5))
+    for p in (F(1, 100), F(1, 2), F(99, 100)):
+        assert monte_carlo_quantile(m, p, n, seed=5) == ordered[math.ceil(n * p) - 1]
