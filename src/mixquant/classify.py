@@ -22,10 +22,9 @@ them (exactly for piecewise pairs, within ``FLOAT_TOL`` otherwise).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .distributions import DomainError, ExtendedReal, RealLike, as_fraction, close, leq
-from .mixture import MixtureSpec, mixture_cdf_left_limit
+from .distributions import DomainError, ExtendedReal, RealLike, close, leq
+from .mixture import MixtureSpec, _checked_level, mixture_cdf_left_limit
 from .split import QuantileSolution, split_quantile
 
 __all__ = [
@@ -136,11 +135,9 @@ def classify(
         If the computed cell is (2b) or (4d), or the mixture CDF's left limit
         exceeds p (both impossible for a correct quantile).
     """
-    p = as_fraction(p)
-    if not 0 < m.q < 1:
+    p = _checked_level(m, p)
+    if m.lone is not None:
         raise DomainError(f"classification needs 0 < q < 1, got q = {m.q}")
-    if not 0 < p < 1:
-        raise DomainError(f"classification needs 0 < p < 1, got p = {p}")
     if m.x.is_exact != m.y.is_exact:
         raise DomainError("classification needs both components piecewise or both parametric")
     if solution is None:

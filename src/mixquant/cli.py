@@ -6,7 +6,7 @@ invocation: text mode prints aligned key/value lines, machine mode prints
 one JSON document with sorted keys and exact number strings.
 
 Exit codes: 0 success, 1 verification failures, 2 unreadable or malformed
-spec, 3 domain error (levels or counts out of range), 4 internal
+spec, 3 domain error (levels, counts or results out of range), 4 internal
 contradiction (an impossible case-table cell), 5 unwritable output.
 """
 

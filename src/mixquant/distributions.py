@@ -498,7 +498,10 @@ class LogNormal(Parametric):
         return _std_normal_cdf((math.log(x) - self.mu) / self.sigma)
 
     def _quantile_inner(self, p: float) -> float:
-        return math.exp(self.mu + self.sigma * _STD_NORMAL.inv_cdf(p))
+        try:
+            return math.exp(self.mu + self.sigma * _STD_NORMAL.inv_cdf(p))
+        except OverflowError:
+            raise DomainError(f"lognormal quantile at level {p} exceeds the float range") from None
 
     def support_bounds(self) -> tuple[float, float]:
         return 0.0, POS_INF

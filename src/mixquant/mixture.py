@@ -66,6 +66,11 @@ class MixtureSpec:
         """True when both components are exact piecewise distributions."""
         return self.x.is_exact and self.y.is_exact
 
+    @property
+    def lone(self) -> Distribution | None:
+        """The component that answers alone: X at q = 1, Y at q = 0, else None."""
+        return self.x if self.q == 1 else self.y if self.q == 0 else None
+
     @cached_property
     def merged(self) -> Piecewise:
         """``merged_distribution(self)``, built on first use and then reused."""
@@ -101,10 +106,8 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
     """
     if not m.is_exact:
         raise ValueError("merged_distribution needs two piecewise components")
-    if m.q == 1:
-        return Piecewise(m.x.atoms, m.x.segments)
-    if m.q == 0:
-        return Piecewise(m.y.atoms, m.y.segments)
+    if m.lone is not None:
+        return Piecewise(m.lone.atoms, m.lone.segments)
     weighted = ((m.q, m.x), (1 - m.q, m.y))
 
     atoms: list[tuple[Fraction, Fraction]] = []
@@ -138,18 +141,21 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
     return Piecewise(atoms, segments)
 
 
-def _check_float_level(m: MixtureSpec, p: Fraction) -> None:
-    """Reject a level in (0, 1) that a float component which answers reads as 0 or 1.
+def _checked_level(m: MixtureSpec, p: RealLike) -> Fraction:
+    """p as a ``Fraction`` in (0, 1) that the components answering it resolve.
 
-    X alone answers at q = 1, Y alone at q = 0, and both otherwise.
+    A level that rounds to 0 or 1 as a float needs them piecewise: the lone
+    one at q in {0, 1}, both otherwise.
     """
-    if 0.0 < float(p) < 1.0:
-        return
-    if not (m.x.is_exact if m.q == 1 else m.y.is_exact if m.q == 0 else m.is_exact):
+    p = as_fraction(p)
+    if not 0 < p < 1:
+        raise DomainError(f"level must lie strictly in (0, 1), got {p}")
+    if float(p) in (0.0, 1.0) and not (m if m.lone is None else m.lone).is_exact:
         raise DomainError(
             f"level {p} rounds to {float(p)} at float resolution; "
             "only piecewise components resolve it"
         )
+    return p
 
 
 def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
@@ -158,14 +164,9 @@ def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
     Exact for piecewise pairs (via the memoised ``m.merged``); for every
     other pair the leftmost crossing is found by ``numeric_quantile``.
     """
-    p = as_fraction(p)
-    if not 0 < p < 1:
-        raise DomainError(f"direct inversion needs 0 < p < 1, got {p}")
-    _check_float_level(m, p)
-    if m.q == 1:
-        return m.x.quantile(p)
-    if m.q == 0:
-        return m.y.quantile(p)
+    p = _checked_level(m, p)
+    if m.lone is not None:
+        return m.lone.quantile(p)
     if m.is_exact:
         return m.merged.quantile(p)
     return numeric_quantile(m, p)

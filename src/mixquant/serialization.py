@@ -49,8 +49,8 @@ __all__ = [
 _FAMILIES = {cls.__name__.lower(): cls for cls in (Uniform, Normal, Exponential, LogNormal)}
 
 # An integer or "n/d" ratio (groups: signed numerator, denominator), or a
-# decimal with a point (no groups).
-_EXACT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?|[+-]?(?:\d+\.\d*|\.\d+)")
+# decimal with a point (no groups), in the ASCII digits serialization writes.
+_EXACT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?|[+-]?(?:\d+\.\d*|\.\d+)", re.ASCII)
 
 
 class SpecParseError(ValueError):

@@ -33,7 +33,7 @@ from .distributions import (
     as_fraction,
     close,
 )
-from .mixture import MixtureSpec, _check_float_level, bisect_float
+from .mixture import MixtureSpec, _checked_level, bisect_float
 
 __all__ = [
     "QuantileSolution",
@@ -118,16 +118,10 @@ def split_quantile(m: MixtureSpec, p: RealLike) -> QuantileSolution:
     to 0 or 1 as a float is rejected unless each component that answers it
     is piecewise.
     """
-    p = as_fraction(p)
-    if not 0 < p < 1:
-        raise DomainError(f"level must lie strictly in (0, 1), got {p}")
-    _check_float_level(m, p)
-    if m.q == 1:
-        s = m.x.quantile(p)
-        return QuantileSolution(s, p, p, True, False, False)
-    if m.q == 0:
-        s = m.y.quantile(p)
-        return QuantileSolution(s, p, p, False, True, False)
+    p = _checked_level(m, p)
+    if m.lone is not None:
+        # Flags from q, not from ``lone``: X and Y may be the same object.
+        return QuantileSolution(m.lone.quantile(p), p, p, m.q == 1, m.q == 0, False)
 
     alpha, beta, clamped = _solve_split(m, p)
     qx = m.x.quantile(alpha)

@@ -380,17 +380,20 @@ def cross_check(
 
     The grid oracle runs only when ``grid_cfg`` is given (it is by far the
     most expensive check).  Mixed piecewise/parametric pairs skip direct
-    inversion and classification; the grid oracle is their reference.
+    inversion and classification; the grid oracle is their reference.  At
+    q in {0, 1}, where one component answers alone, they and the bracketing
+    are skipped.
     """
     p = as_fraction(p)
     failures: list[str] = []
     sol = split_quantile(m, p)
     s_p = sol.s_p
     exact = m.is_exact
+    two_sided = m.lone is None and m.x.is_exact == m.y.is_exact
 
     # Dual route: direct CDF inversion.
     direct_value = exact_match = deviation = None
-    if 0 < m.q < 1 and m.x.is_exact == m.y.is_exact:
+    if two_sided:
         direct_value = direct_quantile(m, p)
         if exact:
             exact_match = s_p == direct_value
@@ -414,7 +417,7 @@ def cross_check(
     # Classification and cell relations.
     classification = None
     relations_ok = None
-    if 0 < m.q < 1 and m.x.is_exact == m.y.is_exact:
+    if two_sided:
         try:
             classification = classify(m, p, sol)
         except InternalContradictionError as exc:
@@ -443,7 +446,7 @@ def cross_check(
         failures.append(f"split identity {recombined} != {p}")
 
     # Bracketing of the split levels by the component CDFs at s_p.
-    if 0 < m.q < 1:
+    if m.lone is None:
         fx_left, fx_right = m.x.cdf_left_limit(s_p), m.x.cdf(s_p)
         gy_left, gy_right = m.y.cdf_left_limit(s_p), m.y.cdf(s_p)
         bracketing_ok = (
@@ -462,14 +465,15 @@ def cross_check(
 
     # Swap symmetry: the mixture with roles exchanged has the same quantile,
     # and its classification is the transposed cell.
-    swapped_sol = split_quantile(m.swapped(), p)
+    swapped = m.swapped()
+    swapped_sol = split_quantile(swapped, p)
     swap_ok = close(swapped_sol.s_p, s_p, exact)
     if not swap_ok:
         failures.append(f"swapped quantile {swapped_sol.s_p} != {s_p}")
     transpose_ok = None
     if classification is not None:
         try:
-            swapped_report = classify(m.swapped(), p, swapped_sol)
+            swapped_report = classify(swapped, p, swapped_sol)
         except InternalContradictionError as exc:
             transpose_ok = False
             failures.append(f"swapped classification: {exc}")

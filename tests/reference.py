@@ -182,16 +182,16 @@ def _affine(piece):
     return piece.x_left - slope * piece.lev_lo, slope
 
 
-_REF_DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
-_REF_RATIO_RE = re.compile(r"^[+-]?\d+/\d+$")
+_REF_DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$", re.ASCII)
+_REF_RATIO_RE = re.compile(r"^[+-]?\d+/\d+$", re.ASCII)
 
 
 def ref_parse_exact_number(value, where="number"):
     """The exact-number rule of mixture documents, written the slow way.
 
-    A string is stripped and must match a plain decimal or an "n/d" ratio;
-    ``Fraction`` then parses all of it.  Rejections raise ``ValueError``
-    with the package's message.
+    A string is stripped and must match a plain decimal or an "n/d" ratio
+    in ASCII digits; ``Fraction`` then parses all of it.  Rejections raise
+    ``ValueError`` with the package's message.
     """
     if isinstance(value, bool):
         raise ValueError(f"{where}: expected a number, got {value!r}")

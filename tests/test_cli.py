@@ -177,6 +177,108 @@ def test_curve_reads_each_component_cdf_once_per_row(spec_file, tmp_path, monkey
     assert len(calls) == 2 * 16
 
 
+# ---------------------------------------------------------------------------
+# a lone component (q in {0, 1})
+# ---------------------------------------------------------------------------
+
+_PIECES = {
+    "kind": "piecewise",
+    "atoms": [["0", "1/4"], ["2", "1/4"]],
+    "segments": [["0", "1", "1/2"]],
+}
+_AT_FIVE = {"kind": "piecewise", "atoms": [["5", "1"]], "segments": []}
+_NORMAL = {"kind": "normal", "mu": 0, "sigma": 1}
+
+#: q in {0, 1} documents, each with the stdout of ``quantile --p 0.25`` in
+#: text and machine form and the table of ``curve --from -1 --to 2 --steps 3``.
+LONE_DOCUMENTS = {
+    "exact-q1": (
+        {"q": "1", "X": _PIECES, "Y": _AT_FIVE},
+        "s_p = 0\nalpha_star = 0.25\nbeta_star = 0.25\n"
+        "x_attains = true\ny_attains = false\nclamped = false\n",
+        '{"alpha_star":"0.25","beta_star":"0.25","clamped":false,'
+        '"s_p":"0","x_attains":true,"y_attains":false}\n',
+        "x,F,G,FS\n-1,0,0,0\n0.5,0.5,0,0.5\n2,1,0,1\n\n"
+        "p,Qx,Qy,QS\n0.25,0,5,0\n0.5,0.5,5,0.5\n0.75,1,5,1\n",
+    ),
+    "exact-q0": (
+        {"q": "0", "X": _AT_FIVE, "Y": _PIECES},
+        "s_p = 0\nalpha_star = 0.25\nbeta_star = 0.25\n"
+        "x_attains = false\ny_attains = true\nclamped = false\n",
+        '{"alpha_star":"0.25","beta_star":"0.25","clamped":false,'
+        '"s_p":"0","x_attains":false,"y_attains":true}\n',
+        "x,F,G,FS\n-1,0,0,0\n0.5,0,0.5,0.5\n2,0,1,1\n\n"
+        "p,Qx,Qy,QS\n0.25,5,0,0\n0.5,5,0.5,0.5\n0.75,5,1,1\n",
+    ),
+    "parametric-q1": (
+        {"q": "1", "X": _NORMAL, "Y": {"kind": "exponential", "rate": 2}},
+        "s_p = -0.6744897501960817\nalpha_star = 0.25\nbeta_star = 0.25\n"
+        "x_attains = true\ny_attains = false\nclamped = false\n",
+        '{"alpha_star":"0.25","beta_star":"0.25","clamped":false,'
+        '"s_p":"-0.6744897501960817","x_attains":true,"y_attains":false}\n',
+        "x,F,G,FS\n"
+        "-1,0.15865525393145707,0.0,0.15865525393145707\n"
+        "0.5,0.6914624612740131,0.6321205588285577,0.6914624612740131\n"
+        "2,0.9772498680518208,0.9816843611112658,0.9772498680518208\n\n"
+        "p,Qx,Qy,QS\n"
+        "0.25,-0.6744897501960817,0.14384103622589045,-0.6744897501960817\n"
+        "0.5,0.0,0.34657359027997264,0.0\n"
+        "0.75,0.6744897501960817,0.6931471805599453,0.6744897501960817\n",
+    ),
+    "mixed-q0": (
+        {"q": "0", "X": _PIECES, "Y": _NORMAL},
+        "s_p = -0.6744897501960817\nalpha_star = 0.25\nbeta_star = 0.25\n"
+        "x_attains = false\ny_attains = true\nclamped = false\n",
+        '{"alpha_star":"0.25","beta_star":"0.25","clamped":false,'
+        '"s_p":"-0.6744897501960817","x_attains":false,"y_attains":true}\n',
+        "x,F,G,FS\n"
+        "-1,0,0.15865525393145707,0.15865525393145707\n"
+        "0.5,0.5,0.6914624612740131,0.6914624612740131\n"
+        "2,1,0.9772498680518208,0.9772498680518208\n\n"
+        "p,Qx,Qy,QS\n"
+        "0.25,0,-0.6744897501960817,-0.6744897501960817\n"
+        "0.5,0.5,0.0,0.0\n"
+        "0.75,1,0.6744897501960817,0.6744897501960817\n",
+    ),
+    "mixed-q1": (
+        {"q": "1", "X": _PIECES, "Y": _NORMAL},
+        "s_p = 0\nalpha_star = 0.25\nbeta_star = 0.25\n"
+        "x_attains = true\ny_attains = false\nclamped = false\n",
+        '{"alpha_star":"0.25","beta_star":"0.25","clamped":false,'
+        '"s_p":"0","x_attains":true,"y_attains":false}\n',
+        "x,F,G,FS\n"
+        "-1,0,0.15865525393145707,0.0\n"
+        "0.5,0.5,0.6914624612740131,0.5\n"
+        "2,1,0.9772498680518208,1.0\n\n"
+        "p,Qx,Qy,QS\n"
+        "0.25,0,-0.6744897501960817,0\n"
+        "0.5,0.5,0.0,0.5\n"
+        "0.75,1,0.6744897501960817,1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LONE_DOCUMENTS)
+def test_lone_component_outputs_are_pinned(name, spec_file, tmp_path, capsys):
+    doc, quantile_text, quantile_machine, table = LONE_DOCUMENTS[name]
+    spec = spec_file(doc)
+    out = str(tmp_path / "curve.csv")
+    curve = ["curve", "--spec", spec, "--from", "-1", "--to", "2", "--steps", "3", "--out", out]
+    expected = {
+        "text": (quantile_text, f"wrote {out} (3 x-rows, 3 p-rows)\n"),
+        "machine": (quantile_machine, json.dumps({"out": out, "rows": 8}) + "\n"),
+    }
+    for fmt, (quantile_out, curve_out) in expected.items():
+        assert main(["--format", fmt, "quantile", "--spec", spec, "--p", "0.25"]) == 0
+        assert capsys.readouterr().out == quantile_out
+        assert main(["--format", fmt, "classify", "--spec", spec, "--p", "0.25"]) == 3
+        assert capsys.readouterr().out == ""
+        assert main(["--format", fmt, *curve]) == 0
+        assert capsys.readouterr().out == curve_out
+        with open(out, encoding="utf-8") as handle:
+            assert handle.read() == table
+
+
 def _adjacent_units(rng, features, offset):
     """Adjacent unit segments from ``offset``, a tenth of the features atoms
     on distinct segment ends, with random exact weights: the raw feature
@@ -336,6 +438,25 @@ def test_level_below_float_resolution_exits_3(spec_file, capsys):
     for command in ("quantile", "classify"):
         assert main([command, "--spec", spec, "--p", "0.99999999999999999999"]) == 3
         assert "float resolution" in capsys.readouterr().err
+
+
+def test_lognormal_quantile_beyond_the_float_range_exits_3(spec_file, tmp_path, capsys):
+    doc = dict(NORMAL_PAIR, X={"kind": "lognormal", "mu": 800, "sigma": 1})
+    spec = spec_file(doc)
+    out = str(tmp_path / "curve.csv")
+    for argv in (
+        ["quantile", "--spec", spec, "--p", "0.5"],
+        ["curve", "--spec", spec, "--from", "0", "--to", "1", "--steps", "3", "--out", out],
+    ):
+        assert main(argv) == 3
+        assert "float range" in capsys.readouterr().err
+
+
+def test_non_ascii_digits_exit_2(spec_file, capsys):
+    arabic_q = spec_file(dict(TWO_ATOMS, q="\u0661/\u0662"))
+    assert main(["quantile", "--spec", arabic_q, "--p", "0.5"]) == 2
+    assert main(["quantile", "--spec", spec_file(TWO_ATOMS), "--p", "\u0660.\u0665"]) == 2
+    assert "not a plain decimal" in capsys.readouterr().err
 
 
 def test_contradiction_exits_4(spec_file, capsys):

@@ -39,7 +39,11 @@ def test_exact_number_parsing():
 
 @pytest.mark.parametrize(
     "bad",
-    [0.25, "1e-3", "2E5", "nan", "inf", "1/0", "", "abc", True, None, [1]],
+    [
+        0.25, "1e-3", "2E5", "nan", "inf", "1/0", "", "abc", True, None, [1],
+        # Digits of other scripts: serialization writes ASCII only.
+        "\u0663", "\u0661/\u0662", "\u0660.\u0665", "1\u0669",
+    ],
 )
 def test_exact_number_rejections(bad):
     with pytest.raises(SpecParseError):
@@ -258,6 +262,18 @@ def _piecewise(atoms, segments=()):
             "mixing weight q must lie in [0, 1], got 3/2",
         ),
         (parse_mixture, {"q": 0.5, "X": _UNIT, "Y": _UNIT}, f"mixing weight q: {_RAW_FLOAT}"),
+        (
+            parse_mixture,
+            {"q": "\u0661/\u0662", "X": _UNIT, "Y": _UNIT},
+            "mixing weight q: '\u0661/\u0662' is not a plain decimal or n/d ratio "
+            "(scientific notation is rejected)",
+        ),
+        (
+            parse_mixture,
+            {"q": "0.5", "X": _piecewise([["\u0663", "1"]]), "Y": _UNIT},
+            "atom 0 location: '\u0663' is not a plain decimal or n/d ratio "
+            "(scientific notation is rejected)",
+        ),
         (
             parse_mixture,
             {"q": "0.5", "X": _piecewise([["0", "0.5"]]), "Y": _UNIT},

@@ -1,14 +1,16 @@
 """The optimal split: feasible range, ordering predicate, and the quantile."""
 
 from fractions import Fraction as F
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixquant.distributions import DomainError, Exponential, Normal, Piecewise, Uniform
-from mixquant.mixture import MixtureSpec, direct_quantile
+from mixquant.classify import classify
+from mixquant.distributions import DomainError, Exponential, LogNormal, Normal, Piecewise, Uniform
+from mixquant.mixture import MixtureSpec, direct_quantile, merged_distribution
 from mixquant.split import (
     _solve_split,
     feasible_alpha_range,
@@ -75,7 +77,9 @@ ABOVE_ZERO = F(1, 10**400)
 def test_float_route_rejects_levels_below_float_resolution(x, y, q, p):
     assert float(p) in (0.0, 1.0)
     for m in (MixtureSpec(q, x, y), MixtureSpec(q, y, x)):
-        for route in (split_quantile, direct_quantile):
+        # Handed a solution, classify must still refuse the level itself.
+        solved = partial(classify, solution=split_quantile(m, F(1, 2)))
+        for route in (split_quantile, direct_quantile, solved):
             with pytest.raises(DomainError, match="float resolution"):
                 route(m, p)
 
@@ -107,6 +111,17 @@ def test_exact_pairs_answer_exactly_at_levels_below_float_resolution():
         assert split_quantile(pair, BELOW_ONE).s_p == 2 * BELOW_ONE + 1
         for p in (ABOVE_ZERO, BELOW_ONE):
             assert split_quantile(pair, p).s_p == direct_quantile(pair, p)
+
+
+def test_lognormal_quantile_beyond_the_float_range_is_a_domain_error():
+    far = LogNormal(800, 1)
+    with pytest.raises(DomainError, match="float range"):
+        far.quantile(F(1, 2))
+    assert LogNormal(700, 3).quantile(F(99, 100)) == 1.0891745033605007e307
+    for m in (MixtureSpec(F(1, 2), far, Normal(0, 1)), MixtureSpec(1, far, Normal(0, 1))):
+        for route in (split_quantile, direct_quantile):
+            with pytest.raises(DomainError, match="float range"):
+                route(m, F(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +198,41 @@ def test_split_degenerate_weights():
     assert sol.x_attains and not sol.y_attains and not sol.clamped
     sol = split_quantile(MixtureSpec(0, x, y), F(1, 4))
     assert sol.s_p == 9 and sol.y_attains
+
+
+_SHARED = Piecewise.uniform(0, 1)
+
+
+@pytest.mark.parametrize("p", [F(1, 3), F(1, 2), F(9, 10)])
+@pytest.mark.parametrize("q", [F(0), F(1)])
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (Piecewise([(0, F(1, 4)), (2, F(1, 4))], [(0, 1, F(1, 2))]), Piecewise.point_mass(5)),
+        (Normal(0, 1), Exponential(2)),
+        (Piecewise.uniform(0, 1), Normal(3, 1)),
+        # One object on both sides: only q tells which side answers.
+        (_SHARED, _SHARED),
+    ],
+    ids=["exact", "parametric", "mixed", "shared"],
+)
+def test_a_lone_component_answers_every_route(x, y, q, p):
+    assert MixtureSpec(F(1, 2), x, y).lone is None
+    for m in (MixtureSpec(q, x, y), MixtureSpec(q, y, x)):
+        lone = m.lone
+        assert lone is (m.x if q == 1 else m.y)
+        sol = split_quantile(m, p)
+        assert sol.s_p == lone.quantile(p)
+        assert (sol.alpha_star, sol.beta_star) == (p, p)
+        assert (sol.x_attains, sol.y_attains, sol.clamped) == (q == 1, q == 0, False)
+        assert direct_quantile(m, p) == sol.s_p
+        if m.is_exact:
+            assert merged_distribution(m) == lone
+        with pytest.raises(DomainError, match="0 < q < 1"):
+            classify(m, p)
+        report = cross_check(m, p)
+        assert report.passed, report.failures
+        assert report.direct_value is None and report.classification is None
 
 
 def test_split_rejects_endpoint_levels():
