@@ -2,19 +2,14 @@
 
 At s_p each component CDF is either continuous or jumping, and either flat
 or rising just to the left.  That yields cases 1-4 for X crossed with a-d
-for Y.  Each feasible cell asserts exact relations between the split levels
-and the CDF values at s_p; two cells cannot occur at all, and the
-classifier treats hitting one as an internal contradiction.
+for Y.  Each of the fifteen feasible cells asserts exact relations between
+the split levels and the CDF values at s_p; cell (2b) cannot occur, and the
+classifier treats hitting it as an internal contradiction.
 """
 
 from fractions import Fraction as F
 
-from mixquant import (
-    InternalContradictionError,
-    MixtureSpec,
-    Piecewise,
-    classify,
-)
+from mixquant import MixtureSpec, Piecewise, classify
 
 
 def show(title, m, p):
@@ -47,7 +42,7 @@ r = show(
 assert r.label.cell_id == "4b"
 
 print()
-print("four cells branch on whether F_S(s_p-) reaches p")
+print("five cells branch on whether F_S(s_p-) reaches p")
 x = Piecewise(atoms=[(1, F(1, 2))], segments=[(0, 1, F(1, 2))])
 y = Piecewise(atoms=[(-1, F(1, 2)), (1, F(1, 2))])
 m = MixtureSpec(F(1, 2), x, y)
@@ -84,11 +79,14 @@ print(f"  {a.label.cell_id} <-> {b.label.cell_id}")
 assert b.label == a.label.transposed()
 
 print()
-print("the impossible geometry: both CDFs jumping off a shared plateau")
-try:
-    classify(
-        MixtureSpec(F(1, 2), Piecewise.point_mass(0), Piecewise.point_mass(0)),
-        F(1, 4),
-    )
-except InternalContradictionError as exc:
-    print(f"  InternalContradictionError: {exc}")
+print("both CDFs jumping off a plateau at a shared atom: only F_S(s_p-) < p")
+r = show(
+    "shared lowest atom",
+    MixtureSpec(
+        F(1, 2),
+        Piecewise.point_mass(0),
+        Piecewise(atoms=[(0, F(1, 2)), (3, F(1, 2))]),
+    ),
+    F(1, 4),
+)
+assert r.label.cell_id == "4d/F_S(sp-)<p" and r.relations_ok

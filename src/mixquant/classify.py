@@ -9,10 +9,13 @@ Each component CDF is sorted into one of four behaviors at s_p:
 
 (the F behavior is numbered 1-4, the G behavior lettered a-d), giving a
 sixteen-cell case table.  Flatness is always judged against the left limit:
-F is flat left of s_p when some z < s_p has F(z) = F(s_p-).  Cells (2b) and
-(4d) cannot occur; computing one signals an internal contradiction.  Four
-cells -- (1d), (3d), (4a), (4c) -- split into sub-cases on whether the
-mixture CDF's left limit at s_p falls short of p or hits it exactly.
+F is flat left of s_p when some z < s_p has F(z) = F(s_p-).  Fifteen cells
+are feasible; (2b) cannot occur, since F_S would be continuous at s_p and
+flat to its left.  Five cells -- (1d), (3d), (4a), (4c), (4d) -- split into
+sub-cases on whether the mixture CDF's left limit at s_p falls short of p or
+hits it exactly, and (4d) has only the first: some z < s_p has both CDFs
+constant on [z, s_p), so F_S(s_p-) = F_S(z) < p.  That leaves nineteen
+cell/sub-case labels; computing any other signals an internal contradiction.
 
 Every cell asserts a small set of exact relations tying alpha*, beta*, and
 s_p to the component CDFs and inverses; ``verify_cell_relations`` evaluates
@@ -44,10 +47,10 @@ SUBCASE_LT = "F_S(sp-)<p"
 SUBCASE_EQ = "F_S(sp-)=p"
 
 #: Cells whose asserted relations depend on whether F_S(s_p-) < p or = p.
-BRANCHING_CELLS = frozenset({(1, "d"), (3, "d"), (4, "a"), (4, "c")})
+BRANCHING_CELLS = frozenset({(1, "d"), (3, "d"), (4, "a"), (4, "c"), (4, "d")})
 
 #: Cells that no instance can occupy.
-IMPOSSIBLE_CELLS = frozenset({(2, "b"), (4, "d")})
+IMPOSSIBLE_CELLS = frozenset({(2, "b")})
 
 
 class InternalContradictionError(RuntimeError):
@@ -132,8 +135,9 @@ def classify(
     Raises
     ------
     InternalContradictionError
-        If the computed cell is (2b) or (4d), or the mixture CDF's left limit
-        exceeds p (both impossible for a correct quantile).
+        If the computed label is none of the nineteen feasible ones -- cell
+        (2b) or (4d) with F_S(s_p-) = p -- or the mixture CDF's left limit
+        exceeds p (all impossible for a correct quantile).
     """
     p = _checked_level(m, p)
     if m.lone is not None:
@@ -147,12 +151,6 @@ def classify(
     f_case, f_witness = _behavior_case(m.x, s_p)
     g_index, g_witness = _behavior_case(m.y, s_p)
     g_case = "abcd"[g_index - 1]
-
-    if (f_case, g_case) in IMPOSSIBLE_CELLS:
-        raise InternalContradictionError(
-            f"computed cell ({f_case}{g_case}) cannot occur; "
-            f"instance q={m.q}, p={p}, s_p={s_p}"
-        )
 
     subcase = None
     if (f_case, g_case) in BRANCHING_CELLS:
@@ -182,8 +180,9 @@ def classify(
 # bottom of its own jump, where its inverse falls below s_p (the level no
 # longer clears the jump).  The side attains s_p precisely when its level
 # sits strictly above the jump bottom, so the asserted relation switches
-# between = and > on that comparison.  The other side carries the quantile
-# either way.
+# between = and > on that comparison.  In (3d) and (4c) the other side
+# carries the quantile either way; in (4d) both sides are flat on the left,
+# and since F_S(s_p-) < p at least one level sits above its jump bottom.
 _CELL_RELATIONS: dict[tuple, tuple[str, ...]] = {
     (1, "a", None): ("aF", "bG", "x=", "y="),
     (1, "b", None): ("aF", "bG", "x=", "y>"),
@@ -203,6 +202,7 @@ _CELL_RELATIONS: dict[tuple, tuple[str, ...]] = {
     (4, "b", None): ("bG", "x=", "y>"),
     (4, "c", SUBCASE_LT): ("y=", "x@"),
     (4, "c", SUBCASE_EQ): ("y=", "x>"),
+    (4, "d", SUBCASE_LT): ("x@", "y@"),
 }
 
 _RELATION_TEXT = {
@@ -224,14 +224,18 @@ def verify_cell_relations(
     """Evaluate every relation the report's cell asserts.
 
     Equalities and strict inequalities are exact for piecewise pairs and hold
-    within ``FLOAT_TOL`` otherwise.  Unknown cells (the impossible ones) raise.
+    within ``FLOAT_TOL`` otherwise.  A label without relations is infeasible
+    and raises.
     """
     label = report.label
     key = (label.f_case, label.g_case, label.subcase)
-    if key not in _CELL_RELATIONS:
-        raise InternalContradictionError(f"no relations defined for cell {label.cell_id}")
-    exact = m.is_exact
     s_p = solution.s_p
+    if key not in _CELL_RELATIONS:
+        raise InternalContradictionError(
+            f"computed cell ({label.cell_id}) cannot occur; "
+            f"instance q={m.q}, p={p}, s_p={s_p}"
+        )
+    exact = m.is_exact
     values = {
         "aF": lambda: close(solution.alpha_star, m.x.cdf(s_p), exact),
         "bG": lambda: close(solution.beta_star, m.y.cdf(s_p), exact),

@@ -7,7 +7,7 @@ one JSON document with sorted keys and exact number strings.
 
 Exit codes: 0 success, 1 verification failures, 2 unreadable or malformed
 spec, 3 domain error (levels, counts or results out of range), 4 internal
-contradiction (an impossible case-table cell), 5 unwritable output.
+contradiction (an infeasible case-table label), 5 unwritable output.
 """
 
 from __future__ import annotations

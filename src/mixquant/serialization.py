@@ -128,6 +128,12 @@ def _parse_float(value, where: str) -> float:
         raise SpecParseError(f"{where}: expected a number, got {value!r}")
     if not isinstance(value, (int, float, str)):
         raise SpecParseError(f"{where}: expected a number, got {type(value).__name__}")
+    # float() also reads other scripts' digits and underscores; exact numbers
+    # take neither, so parameters do not either.
+    if isinstance(value, str) and (not value.isascii() or "_" in value):
+        raise SpecParseError(
+            f"{where}: {value!r} is not a plain number (ASCII digits, no underscores)"
+        )
     try:
         return float(value.strip() if isinstance(value, str) else value)
     except (ValueError, OverflowError):

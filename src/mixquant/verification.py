@@ -242,8 +242,8 @@ def _coordinated_pair(
 ) -> tuple[Piecewise, Piecewise, Fraction]:
     """A pair sharing one atom location t, with controlled left geometry.
 
-    At least one component gets a segment running into t, so the shared jump
-    never sits on a double plateau.  Pairs like this are what populate the
+    At least one component gets a segment running into t, so the joint jump
+    at t lands in (3c), (3d) or (4c).  Pairs like this are what populate the
     cells where both CDFs jump at the quantile; the caller aims p at the
     joint jump to land there.
     """
@@ -268,50 +268,27 @@ def _coordinated_pair(
     return build(pattern in (0, 2)), build(pattern in (1, 2)), t
 
 
-def _shares_double_plateau_atom(x: Piecewise, y: Piecewise) -> bool:
-    """True when some location is an atom of both and flat to the left of both.
-
-    At such a point both component CDFs jump off a plateau together.  If the
-    mixture quantile lands there, neither side of the case table applies (the
-    case analysis has no feasible cell for it), so the generator refuses to
-    emit this geometry.  One side having a segment running into the shared
-    atom is enough to clear it.
-    """
-    shared = {loc for loc, _ in x.atoms} & {loc for loc, _ in y.atoms}
-    return any(x.flat_left_of(t)[0] and y.flat_left_of(t)[0] for t in shared)
-
-
 def generate_instance(cfg: InstanceGenConfig, index: int) -> tuple[MixtureSpec, Fraction]:
     """Deterministic piecewise instance number ``index`` under ``cfg``.
 
     Each index draws from an independent substream of (seed, index), so
-    instances are reproducible individually and order-independent.  Pairs
-    whose shared atoms sit on simultaneous plateaus are redrawn; after too
-    many rejections the second component is shifted off the lattice, which
-    removes coincidences entirely.
+    instances are reproducible individually and order-independent.  Every
+    draw is kept: each geometry the two components can form has a cell.
     """
     import numpy as np
 
     rng = np.random.default_rng([cfg.seed, index])
     if rng.random() < 0.18:
-        for attempt in range(16):
-            x, y, t = _coordinated_pair(rng)
-            if not _shares_double_plateau_atom(x, y):
-                q = Q_GRID[int(rng.integers(len(Q_GRID)))]
-                m = MixtureSpec(q, x, y)
-                lo = mixture_cdf_left_limit(m, t)
-                hi = mixture_cdf(m, t)
-                if rng.random() < 0.5 and lo > 0:
-                    return m, lo
-                return m, lo + (hi - lo) * Fraction(int(rng.integers(1, 8)), 8)
-    for attempt in range(32):
-        x = _random_component(rng, Fraction(0))
-        y = _random_component(rng, Fraction(0))
-        if not _shares_double_plateau_atom(x, y):
-            break
-    else:
-        x = _random_component(rng, Fraction(0))
-        y = _random_component(rng, Fraction(1, 7))
+        x, y, t = _coordinated_pair(rng)
+        q = Q_GRID[int(rng.integers(len(Q_GRID)))]
+        m = MixtureSpec(q, x, y)
+        lo = mixture_cdf_left_limit(m, t)
+        hi = mixture_cdf(m, t)
+        if rng.random() < 0.5 and lo > 0:
+            return m, lo
+        return m, lo + (hi - lo) * Fraction(int(rng.integers(1, 8)), 8)
+    x = _random_component(rng, Fraction(0))
+    y = _random_component(rng, Fraction(0))
     q = Q_GRID[int(rng.integers(len(Q_GRID)))]
     m = MixtureSpec(q, x, y)
     return m, _choose_level(rng, m)

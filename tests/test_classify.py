@@ -1,11 +1,16 @@
 """Case-table classification: cells, sub-cases, relations, transposition."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from mixquant.classify import (
+    _CELL_RELATIONS,
+    SUBCASE_EQ,
     CaseLabel,
+    ClassificationReport,
     InternalContradictionError,
     classify,
     verify_cell_relations,
@@ -13,7 +18,7 @@ from mixquant.classify import (
 from mixquant.distributions import DomainError, Normal, Piecewise, Uniform
 from mixquant.mixture import MixtureSpec
 from mixquant.split import split_quantile
-from mixquant.verification import InstanceGenConfig, generate_instance
+from mixquant.verification import InstanceGenConfig, cross_check, generate_instance
 
 # ---------------------------------------------------------------------------
 # frozen cells
@@ -124,15 +129,95 @@ def test_4c_with_split_level_inside_the_jump():
 
 
 # ---------------------------------------------------------------------------
-# impossible-cell tripwire
+# (4d): both CDFs jump off a plateau at s_p
 # ---------------------------------------------------------------------------
 
 
-def test_shared_isolated_atoms_raise_a_contradiction():
-    # both CDFs jump off a plateau at the same point: outside the case table
-    m = MixtureSpec(F(1, 2), Piecewise.point_mass(0), Piecewise.point_mass(0))
-    with pytest.raises(InternalContradictionError):
-        classify(m, F(1, 4))
+@pytest.mark.parametrize(
+    "y",
+    [Piecewise.point_mass(0), Piecewise(atoms=[(0, F(1, 2)), (3, F(1, 2))])],
+    ids=["same-point-mass", "shared-lowest-atom"],
+)
+def test_shared_atom_on_two_plateaus_classifies_4d_below_the_left_limit(y):
+    # F_S is constant on [z, 0) for any z < 0, so F_S(0-) = F_S(z) < p: only
+    # the "<" sub-case exists, and X's level sits on the bottom of its jump
+    m = MixtureSpec(F(1, 2), Piecewise.point_mass(0), y)
+    report = classify(m, F(1, 4))
+    assert report.label.cell_id == "4d/F_S(sp-)<p"
+    assert report.s_p == 0
+    texts = {c.relation: c.holds for c in report.relations_checked}
+    assert texts["s_p > Qx(alpha_star) [alpha_star = F(s_p-)]"]
+    assert texts["s_p = Qy(beta_star) [beta_star > G(s_p-)]"]
+    assert report.relations_ok
+
+
+# ---------------------------------------------------------------------------
+# infeasible-label tripwire
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "label", [CaseLabel(2, "b"), CaseLabel(4, "d", SUBCASE_EQ)], ids=["2b", "4d-eq"]
+)
+def test_infeasible_labels_raise_a_contradiction(label):
+    m = MixtureSpec(F(1, 2), Piecewise.point_mass(0), Piecewise.point_mass(1))
+    sol = split_quantile(m, F(1, 4))
+    report = ClassificationReport(label, sol.s_p, None, None)
+    with pytest.raises(InternalContradictionError, match=r"cannot occur; instance q=1/2, p=1/4"):
+        verify_cell_relations(report, sol, m, F(1, 4))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive small scope
+# ---------------------------------------------------------------------------
+
+
+def _lattice_distributions():
+    """Every equal-weight mix of atoms at 0, 1, 2 and unit segments [0,1], [1,2]."""
+    features = [("atom", 0), ("atom", 1), ("atom", 2), ("segment", 0), ("segment", 1)]
+    dists = []
+    for chosen in itertools.chain.from_iterable(
+        itertools.combinations(features, k) for k in range(1, len(features) + 1)
+    ):
+        w = F(1, len(chosen))
+        dists.append(
+            Piecewise(
+                [(x, w) for kind, x in chosen if kind == "atom"],
+                [(x, x + 1, w) for kind, x in chosen if kind == "segment"],
+            )
+        )
+    return dists
+
+
+def test_every_small_lattice_pair_cross_checks_and_fills_every_label():
+    # Small-scope hypothesis: all 961 ordered pairs of the 31 lattice
+    # distributions at q = 1/3, at every inner cut level of the mixture CDF
+    # and every jump midpoint -- 4,927 instances.
+    dists = _lattice_distributions()
+    assert len(dists) == 31
+    census = Counter()
+    failures = []
+    for x, y in itertools.product(dists, repeat=2):
+        m = MixtureSpec(F(1, 3), x, y)
+        pieces = m.merged.quantile_pieces()
+        levels = {piece.lev_hi for piece in pieces[:-1]} | {
+            (piece.lev_lo + piece.lev_hi) / 2
+            for piece in pieces
+            if piece.x_left == piece.x_right
+        }
+        for p in sorted(levels):
+            report = cross_check(m, p)
+            census[report.cell_id] += 1
+            if not report.passed:
+                failures.append((m, p, report.failures))
+    assert sum(census.values()) == 4927
+    assert not failures, f"{len(failures)} failures, first {failures[0]}"
+    feasible = {
+        f"{f}{g}" + (f"/{sub}" if sub else "")
+        for f, g, sub in _CELL_RELATIONS
+    }
+    assert len(feasible) == 19
+    assert set(census) == feasible
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from mixquant.cli import main
 from mixquant.distributions import Piecewise
 from mixquant.serialization import exact_number_to_string, extended_to_string
+from mixquant.split import QuantileSolution
 from reference import ref_cdf, ref_merged, ref_quantile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -24,10 +25,11 @@ TWO_ATOMS = {
     "Y": {"kind": "piecewise", "atoms": [["1", "1"]], "segments": []},
 }
 
-SHARED_ATOM = {
+# Both CDFs jump off a plateau at the shared lowest atom: cell (4d).
+SHARED_LOWEST_ATOM = {
     "q": "0.5",
     "X": {"kind": "piecewise", "atoms": [["0", "1"]], "segments": []},
-    "Y": {"kind": "piecewise", "atoms": [["0", "1"]], "segments": []},
+    "Y": {"kind": "piecewise", "atoms": [["0", "0.5"], ["3", "0.5"]], "segments": []},
 }
 
 NORMAL_PAIR = {
@@ -111,6 +113,30 @@ def test_classify_machine_output(spec_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["cell"] == "4b"
     assert all(holds for _, holds in doc["relations"])
+
+
+def test_classify_shared_lowest_atom_text_output(spec_file, capsys):
+    code = main(["classify", "--spec", spec_file(SHARED_LOWEST_ATOM), "--p", "0.25"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "cell = 4d/F_S(sp-)<p\n"
+        "s_p = 0\n"
+        "f_flat_witness = -1\n"
+        "g_flat_witness = -1\n"
+        "relation s_p > Qx(alpha_star) [alpha_star = F(s_p-)]: ok\n"
+        "relation s_p = Qy(beta_star) [beta_star > G(s_p-)]: ok\n"
+    )
+
+
+def test_classify_shared_lowest_atom_machine_output(spec_file, capsys):
+    spec = spec_file(SHARED_LOWEST_ATOM)
+    code = main(["--format", "machine", "classify", "--spec", spec, "--p", "0.25"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"cell":"4d/F_S(sp-)<p","f_flat_witness":"-1","g_flat_witness":"-1",'
+        '"relations":[["s_p > Qx(alpha_star) [alpha_star = F(s_p-)]",true],'
+        '["s_p = Qy(beta_star) [beta_star > G(s_p-)]",true]],"s_p":"0"}\n'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +483,25 @@ def test_non_ascii_digits_exit_2(spec_file, capsys):
     assert main(["quantile", "--spec", arabic_q, "--p", "0.5"]) == 2
     assert main(["quantile", "--spec", spec_file(TWO_ATOMS), "--p", "\u0660.\u0665"]) == 2
     assert "not a plain decimal" in capsys.readouterr().err
+    for mu, sigma in (("\u0663", 1), (0, "1_0")):
+        spec = spec_file(dict(NORMAL_PAIR, X={"kind": "normal", "mu": mu, "sigma": sigma}))
+        assert main(["quantile", "--spec", spec, "--p", "0.5"]) == 2
+        assert "not a plain number" in capsys.readouterr().err
 
 
-def test_contradiction_exits_4(spec_file, capsys):
-    assert main(["classify", "--spec", spec_file(SHARED_ATOM), "--p", "0.25"]) == 4
-    assert "internal contradiction" in capsys.readouterr().err
+def test_contradiction_exits_4(spec_file, capsys, monkeypatch):
+    # Both components put 1/2 at 0 and 1/2 at 3.  A solver answer of s_p = 3
+    # for p = 1/4 lands in (4d) with F_S(s_p-) = 1/2 above p, which no
+    # correct quantile can do.
+    def wrong_split(m, p):
+        return QuantileSolution(F(3), F(1, 4), F(1, 4), True, True, False)
+
+    monkeypatch.setattr(sys.modules["mixquant.classify"], "split_quantile", wrong_split)
+    spec = spec_file(dict(SHARED_LOWEST_ATOM, X=SHARED_LOWEST_ATOM["Y"]))
+    assert main(["classify", "--spec", spec, "--p", "0.25"]) == 4
+    assert capsys.readouterr().err == (
+        "internal contradiction: mixture CDF left limit 1/2 exceeds p=1/4 at s_p=3\n"
+    )
 
 
 def test_repeated_main_calls_print_what_fresh_calls_print(spec_file, tmp_path, capsys):

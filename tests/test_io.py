@@ -248,6 +248,16 @@ def _piecewise(atoms, segments=()):
             {"kind": "normal", "mu": "abc", "sigma": 1},
             "normal mu: cannot parse 'abc' as a number",
         ),
+        (
+            parse_distribution,
+            {"kind": "normal", "mu": "\u0663", "sigma": 1},
+            "normal mu: '\u0663' is not a plain number (ASCII digits, no underscores)",
+        ),
+        (
+            parse_distribution,
+            {"kind": "normal", "mu": 0, "sigma": "1_0"},
+            "normal sigma: '1_0' is not a plain number (ASCII digits, no underscores)",
+        ),
         (parse_mixture, [1, 2, 3], "mixture document must be an object, got list"),
         (parse_mixture, {"q": "0.5", "X": _UNIT}, "mixture document is missing fields ['Y']"),
         (parse_mixture, {"Z": 1}, "mixture document is missing fields ['q', 'X', 'Y']"),
