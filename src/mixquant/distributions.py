@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
@@ -125,6 +126,32 @@ _LEV_HI = attrgetter("lev_hi")
 _FIRST = itemgetter(0)
 
 
+def _float_key(value: Fraction) -> float:
+    """The correctly rounded float of ``value``, or +-inf beyond the float range."""
+    try:
+        # What float(value) computes, without its two int() calls.
+        return value.numerator / value.denominator
+    except OverflowError:
+        # Compare, do not convert: converting ``value`` again would raise.
+        return POS_INF if value > 0 else NEG_INF
+
+
+def _find_cut(pieces, cuts: array, key, value: Fraction, find) -> int:
+    """``find(pieces, value, key=key)``, decided on the float copies ``cuts``.
+
+    ``cuts[i]`` is ``_float_key(key(pieces[i]))``.  Rounding is monotone, so
+    a cut whose float lies below (above) the float of ``value`` lies below
+    (above) ``value`` itself; only the run of cuts whose floats equal it is
+    searched exactly, with ``find`` (``bisect.bisect_left`` or
+    ``bisect.bisect_right``).
+    """
+    f = _float_key(value)
+    i = bisect.bisect_left(cuts, f)
+    if i == len(cuts) or cuts[i] != f:
+        return i
+    return find(pieces, value, i, bisect.bisect_right(cuts, f, i), key=key)
+
+
 class Distribution:
     """Interface shared by the exact piecewise class and parametric families."""
 
@@ -171,14 +198,17 @@ class Piecewise(Distribution):
     The atom masses plus segment rises must sum to exactly 1.
 
     The affine pieces of the generalized inverse (``quantile_pieces()``) are
-    the one stored layout: the CDF, its left limits, left flatness and the
-    support are all read from them.  One left-to-right pass over the atoms
-    and segments builds the pieces and checks the arguments.
+    the one stored layout: the CDF, its left limits, left flatness, atoms and
+    the support are all read from them.  One left-to-right pass over the
+    atoms and segments builds the pieces and checks the arguments.  Float
+    copies of the two sorted cut columns, ``lev_hi`` and ``x_left``, let
+    every bisection decide in float and compare ``Fraction`` keys only where
+    the floats tie (``_find_cut``).
     """
 
     is_exact = True
 
-    __slots__ = ("atoms", "segments", "_atom_mass", "_pieces")
+    __slots__ = ("atoms", "segments", "_pieces", "_lev_his", "_x_lefts")
 
     def __init__(
         self,
@@ -236,8 +266,9 @@ class Piecewise(Distribution):
                 cum = top
         if cum != 1:
             raise ValueError(f"atom masses plus segment rises must equal 1, got {cum}")
-        self._atom_mass = dict(self.atoms)
         self._pieces = tuple(pieces)
+        self._lev_his = array("d", [_float_key(piece.lev_hi) for piece in pieces])
+        self._x_lefts = array("d", [_float_key(piece.x_left) for piece in pieces])
 
     # -- construction helpers -------------------------------------------------
 
@@ -267,7 +298,7 @@ class Piecewise(Distribution):
 
     def _level_at(self, x: Fraction, find) -> Fraction:
         """The level at x of the last piece that ``find`` places at or before x."""
-        j = find(self._pieces, x, key=_X_LEFT) - 1
+        j = _find_cut(self._pieces, self._x_lefts, _X_LEFT, x, find) - 1
         if j < 0:
             return _ZERO
         piece = self._pieces[j]
@@ -288,16 +319,27 @@ class Piecewise(Distribution):
             raise DomainError(f"quantile level must lie in [0, 1], got {p}")
         if p == 0:
             return NEG_INF
-        return self._pieces[bisect.bisect_left(self._pieces, p, key=_LEV_HI)].value_at(p)
+        j = _find_cut(self._pieces, self._lev_his, _LEV_HI, p, bisect.bisect_left)
+        return self._pieces[j].value_at(p)
+
+    def _levels_inside(self, lo: Fraction, hi: Fraction) -> tuple[int, int]:
+        """Index range of the pieces whose top level cut lies strictly inside (lo, hi)."""
+        pieces, cuts = self._pieces, self._lev_his
+        start = _find_cut(pieces, cuts, _LEV_HI, lo, bisect.bisect_right)
+        return start, _find_cut(pieces, cuts, _LEV_HI, hi, bisect.bisect_left)
 
     def is_continuous_at(self, x: RealLike) -> bool:
-        return as_fraction(x) not in self._atom_mass
+        x = as_fraction(x)
+        # An atom at x is the first piece starting at or after x, and the
+        # only such piece that also ends at x.
+        j = _find_cut(self._pieces, self._x_lefts, _X_LEFT, x, bisect.bisect_left)
+        return j == len(self._pieces) or self._pieces[j].x_right != x
 
     def flat_left_of(self, x: RealLike) -> tuple[bool, Fraction | None]:
         x = as_fraction(x)
         # The last piece starting below x covers x exactly when it is a
         # segment reaching x; otherwise the CDF is flat on (x_right, x).
-        j = bisect.bisect_left(self._pieces, x, key=_X_LEFT) - 1
+        j = _find_cut(self._pieces, self._x_lefts, _X_LEFT, x, bisect.bisect_left) - 1
         if j < 0:
             return True, x - 1
         piece = self._pieces[j]
@@ -444,7 +486,10 @@ class Normal(Parametric):
         return _std_normal_cdf((x - self.mu) / self.sigma)
 
     def _quantile_inner(self, p: float) -> float:
-        return self.mu + self.sigma * _STD_NORMAL.inv_cdf(p)
+        value = self.mu + self.sigma * _STD_NORMAL.inv_cdf(p)
+        if math.isinf(value):
+            raise DomainError(f"normal quantile at level {p} exceeds the float range")
+        return value
 
     def support_bounds(self) -> tuple[float, float]:
         return NEG_INF, POS_INF

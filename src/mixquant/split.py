@@ -25,9 +25,9 @@ from fractions import Fraction
 from functools import partial
 
 from .distributions import (
-    _LEV_HI,
     DomainError,
     ExtendedReal,
+    Piecewise,
     QuantilePiece,
     RealLike,
     as_fraction,
@@ -153,15 +153,15 @@ def _solve_split(m: MixtureSpec, p: Fraction):
 # -- exact path ----------------------------------------------------------------
 
 
-def _flip_piece(pieces, lo: Fraction, hi: Fraction, flipped) -> QuantilePiece:
-    """The piece whose level range holds the flip of ``flipped`` inside (lo, hi).
+def _flip_piece(d: Piecewise, lo: Fraction, hi: Fraction, flipped) -> QuantilePiece:
+    """The piece of ``d`` whose level range holds the flip of ``flipped`` inside (lo, hi).
 
     Bisects the pieces whose top level cut lies strictly inside (lo, hi) for
     the first one on which ``flipped`` holds; when it holds on none, the
     answer is the piece reaching hi.
     """
-    start = bisect.bisect_right(pieces, lo, key=_LEV_HI)
-    stop = bisect.bisect_left(pieces, hi, key=_LEV_HI)
+    pieces = d.quantile_pieces()
+    start, stop = d._levels_inside(lo, hi)
     return pieces[bisect.bisect_left(pieces, True, start, stop, key=flipped)]
 
 
@@ -182,14 +182,14 @@ def _solve_split_exact(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Fracti
         return (p - (1 - q) * cut) / q
 
     px = _flip_piece(
-        m.x.quantile_pieces(), a_lo, a_hi,
+        m.x, a_lo, a_hi,
         lambda piece: piece.x_right >= m.y.quantile(_beta_of(q, p, piece.lev_hi)),
     )
     # The flip lies in px's level range, and in py's mapped to alpha, so
     # each clips the bracket to that range.
     a_lo, a_hi = max(a_lo, px.lev_lo), min(a_hi, px.lev_hi)
     py = _flip_piece(
-        m.y.quantile_pieces(), _beta_of(q, p, a_hi), _beta_of(q, p, a_lo),
+        m.y, _beta_of(q, p, a_hi), _beta_of(q, p, a_lo),
         lambda piece: m.x.quantile(alpha_of(piece.lev_hi)) < piece.x_right,
     )
     a_lo, a_hi = max(a_lo, alpha_of(py.lev_hi)), min(a_hi, alpha_of(py.lev_lo))

@@ -478,6 +478,13 @@ def test_lognormal_quantile_beyond_the_float_range_exits_3(spec_file, tmp_path, 
         assert "float range" in capsys.readouterr().err
 
 
+def test_normal_quantile_beyond_the_float_range_exits_3(spec_file, capsys):
+    doc = dict(NORMAL_PAIR, q="0.5", X={"kind": "normal", "mu": "1e308", "sigma": "1e308"})
+    for command in ("quantile", "classify"):
+        assert main([command, "--spec", spec_file(doc), "--p", "0.99"]) == 3
+        assert "float range" in capsys.readouterr().err
+
+
 def test_non_ascii_digits_exit_2(spec_file, capsys):
     arabic_q = spec_file(dict(TWO_ATOMS, q="\u0661/\u0662"))
     assert main(["quantile", "--spec", arabic_q, "--p", "0.5"]) == 2

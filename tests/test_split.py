@@ -124,6 +124,19 @@ def test_lognormal_quantile_beyond_the_float_range_is_a_domain_error():
                 route(m, F(1, 2))
 
 
+def test_normal_quantile_beyond_the_float_range_is_a_domain_error():
+    # mu + sigma*z overflows to +-inf without raising; both routes must refuse.
+    high, low = Normal(1e308, 1e308), Normal(-1e308, 1e308)
+    for far, p in ((high, F(99, 100)), (low, F(1, 100))):
+        with pytest.raises(DomainError, match="float range"):
+            far.quantile(p)
+        for m in (MixtureSpec(F(1, 2), far, Normal(0, 1)), MixtureSpec(1, far, Normal(0, 1))):
+            for route in (split_quantile, direct_quantile):
+                with pytest.raises(DomainError, match="float range"):
+                    route(m, p)
+    assert high.quantile(F(1, 2)) == 1e308 and high.cdf(1e308) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # the ordering predicate
 # ---------------------------------------------------------------------------
