@@ -21,7 +21,6 @@ from .classify import (
     BRANCHING_CELLS,
     CaseLabel,
     ClassificationReport,
-    IMPOSSIBLE_CELLS,
     InternalContradictionError,
     RelationCheck,
     classify,
@@ -103,7 +102,6 @@ __all__ = [
     "ClassificationReport",
     "InternalContradictionError",
     "BRANCHING_CELLS",
-    "IMPOSSIBLE_CELLS",
     "classify",
     "verify_cell_relations",
     "GridOracleConfig",

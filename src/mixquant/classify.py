@@ -34,7 +34,6 @@ __all__ = [
     "SUBCASE_LT",
     "SUBCASE_EQ",
     "BRANCHING_CELLS",
-    "IMPOSSIBLE_CELLS",
     "InternalContradictionError",
     "CaseLabel",
     "RelationCheck",
@@ -45,12 +44,6 @@ __all__ = [
 
 SUBCASE_LT = "F_S(sp-)<p"
 SUBCASE_EQ = "F_S(sp-)=p"
-
-#: Cells whose asserted relations depend on whether F_S(s_p-) < p or = p.
-BRANCHING_CELLS = frozenset({(1, "d"), (3, "d"), (4, "a"), (4, "c"), (4, "d")})
-
-#: Cells that no instance can occupy.
-IMPOSSIBLE_CELLS = frozenset({(2, "b")})
 
 
 class InternalContradictionError(RuntimeError):
@@ -171,9 +164,10 @@ def classify(
     return report
 
 
-# The relations each cell asserts.  Tokens: aF = alpha* equals F(s_p),
-# bG = beta* equals G(s_p), x=/y= mean s_p equals that component's inverse
-# at its split level, x>/y> mean s_p strictly exceeds it.
+# The relations each feasible label asserts; the rows are the case table.
+# Tokens are side (x: alpha*, F, Qx; y: beta*, G, Qy) then relation: xF/yG
+# mean the split level equals the CDF at s_p, = means s_p equals the side's
+# inverse at its split level, > means s_p strictly exceeds it.
 #
 # x@ and y@ are conditional: when both components jump at s_p and one of
 # them is flat on the left, that side's split level can land exactly on the
@@ -184,35 +178,29 @@ def classify(
 # carries the quantile either way; in (4d) both sides are flat on the left,
 # and since F_S(s_p-) < p at least one level sits above its jump bottom.
 _CELL_RELATIONS: dict[tuple, tuple[str, ...]] = {
-    (1, "a", None): ("aF", "bG", "x=", "y="),
-    (1, "b", None): ("aF", "bG", "x=", "y>"),
-    (1, "c", None): ("aF", "x=", "y="),
-    (1, "d", SUBCASE_LT): ("aF", "x=", "y="),
-    (1, "d", SUBCASE_EQ): ("aF", "x=", "y>"),
-    (2, "a", None): ("aF", "bG", "y=", "x>"),
-    (2, "c", None): ("aF", "y=", "x>"),
-    (2, "d", None): ("aF", "y=", "x>"),
-    (3, "a", None): ("bG", "x=", "y="),
-    (3, "b", None): ("bG", "x=", "y>"),
+    (1, "a", None): ("xF", "yG", "x=", "y="),
+    (1, "b", None): ("xF", "yG", "x=", "y>"),
+    (1, "c", None): ("xF", "x=", "y="),
+    (1, "d", SUBCASE_LT): ("xF", "x=", "y="),
+    (1, "d", SUBCASE_EQ): ("xF", "x=", "y>"),
+    (2, "a", None): ("xF", "yG", "y=", "x>"),
+    (2, "c", None): ("xF", "y=", "x>"),
+    (2, "d", None): ("xF", "y=", "x>"),
+    (3, "a", None): ("yG", "x=", "y="),
+    (3, "b", None): ("yG", "x=", "y>"),
     (3, "c", None): ("x=", "y="),
     (3, "d", SUBCASE_LT): ("x=", "y@"),
     (3, "d", SUBCASE_EQ): ("x=", "y>"),
-    (4, "a", SUBCASE_LT): ("bG", "y=", "x="),
-    (4, "a", SUBCASE_EQ): ("bG", "y=", "x>"),
-    (4, "b", None): ("bG", "x=", "y>"),
+    (4, "a", SUBCASE_LT): ("yG", "y=", "x="),
+    (4, "a", SUBCASE_EQ): ("yG", "y=", "x>"),
+    (4, "b", None): ("yG", "x=", "y>"),
     (4, "c", SUBCASE_LT): ("y=", "x@"),
     (4, "c", SUBCASE_EQ): ("y=", "x>"),
     (4, "d", SUBCASE_LT): ("x@", "y@"),
 }
 
-_RELATION_TEXT = {
-    "aF": "alpha_star = F(s_p)",
-    "bG": "beta_star = G(s_p)",
-    "x=": "s_p = Qx(alpha_star)",
-    "y=": "s_p = Qy(beta_star)",
-    "x>": "s_p > Qx(alpha_star)",
-    "y>": "s_p > Qy(beta_star)",
-}
+#: Cells whose asserted relations depend on whether F_S(s_p-) < p or = p.
+BRANCHING_CELLS = frozenset((f, g) for f, g, subcase in _CELL_RELATIONS if subcase)
 
 
 def verify_cell_relations(
@@ -228,37 +216,31 @@ def verify_cell_relations(
     and raises.
     """
     label = report.label
-    key = (label.f_case, label.g_case, label.subcase)
+    relations = _CELL_RELATIONS.get((label.f_case, label.g_case, label.subcase))
     s_p = solution.s_p
-    if key not in _CELL_RELATIONS:
+    if relations is None:
         raise InternalContradictionError(
             f"computed cell ({label.cell_id}) cannot occur; "
             f"instance q={m.q}, p={p}, s_p={s_p}"
         )
     exact = m.is_exact
-    values = {
-        "aF": lambda: close(solution.alpha_star, m.x.cdf(s_p), exact),
-        "bG": lambda: close(solution.beta_star, m.y.cdf(s_p), exact),
-        "x=": lambda: close(s_p, m.x.quantile(solution.alpha_star), exact),
-        "y=": lambda: close(s_p, m.y.quantile(solution.beta_star), exact),
-        "x>": lambda: not leq(s_p, m.x.quantile(solution.alpha_star), exact),
-        "y>": lambda: not leq(s_p, m.y.quantile(solution.beta_star), exact),
+    sides = {
+        "x": (m.x, solution.alpha_star, "alpha_star", "F", "Qx"),
+        "y": (m.y, solution.beta_star, "beta_star", "G", "Qy"),
     }
     checks = []
-    for token in _CELL_RELATIONS[key]:
-        if token == "x@":
-            above = not leq(solution.alpha_star, m.x.cdf_left_limit(s_p), exact)
-            token = "x=" if above else "x>"
-            text = _RELATION_TEXT[token] + (
-                " [alpha_star > F(s_p-)]" if above else " [alpha_star = F(s_p-)]"
-            )
-        elif token == "y@":
-            above = not leq(solution.beta_star, m.y.cdf_left_limit(s_p), exact)
-            token = "y=" if above else "y>"
-            text = _RELATION_TEXT[token] + (
-                " [beta_star > G(s_p-)]" if above else " [beta_star = G(s_p-)]"
-            )
+    for side, relation in relations:
+        d, level, name, cdf, inverse = sides[side]
+        if relation == cdf:
+            text, holds = f"{name} = {cdf}(s_p)", close(level, d.cdf(s_p), exact)
         else:
-            text = _RELATION_TEXT[token]
-        checks.append(RelationCheck(text, bool(values[token]())))
+            note = ""
+            if relation == "@":
+                above = not leq(level, d.cdf_left_limit(s_p), exact)
+                relation = "=" if above else ">"
+                note = f" [{name} {'>' if above else '='} {cdf}(s_p-)]"
+            bound = d.quantile(level)
+            text = f"s_p {relation} {inverse}({name}){note}"
+            holds = close(s_p, bound, exact) if relation == "=" else not leq(s_p, bound, exact)
+        checks.append(RelationCheck(text, bool(holds)))
     return checks

@@ -190,20 +190,10 @@ def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
     qx = float(m.x.quantile(p))
     qy = float(m.y.quantile(p))
     lo, hi = min(qx, qy), max(qx, qy)
-    if lo == hi:
-        return hi
-    # F_S(hi) >= q*p + (1-q)*p = p, so hi is always a valid upper end; the
-    # lower end only needs pushing left when a plateau puts the crossing
-    # at or below min(qx, qy).
-    step = max(1.0, hi - lo)
-    for _ in range(200):
-        if not reached(lo):
-            break
-        hi = lo
-        lo -= step
-        step *= 2.0
-    else:
-        raise ArithmeticError("could not bracket the mixture quantile from below")
+    # F_S(hi) >= q*p + (1-q)*p = p, and below lo both CDFs fall short of p,
+    # so the crossing lies in [lo, hi].
+    if reached(lo):
+        return lo
     return bisect_float(reached, lo, hi, DIRECT_BISECTION_TOL)[1]
 
 

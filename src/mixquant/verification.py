@@ -172,8 +172,8 @@ class InstanceGenConfig:
     seed: int = 0
 
 
-def _random_component(rng: np.random.Generator, offset: Fraction) -> Piecewise:
-    """One piecewise distribution over a half-integer lattice (plus offset).
+def _random_component(rng: np.random.Generator) -> Piecewise:
+    """One piecewise distribution over a half-integer lattice.
 
     Segments occupy distinct unit cells so interiors never overlap; atoms
     favor segment endpoints and midpoints, which is what produces the
@@ -183,13 +183,13 @@ def _random_component(rng: np.random.Generator, offset: Fraction) -> Piecewise:
     n_seg = int(rng.integers(0, MAX_SEGMENTS + 1))
     segments: list[tuple[Fraction, Fraction]] = []
     for i in range(n_seg):
-        base = Fraction(cells[i]) + offset
+        base = Fraction(cells[i])
         shift = Fraction(1, 4) if rng.random() < 0.3 else Fraction(0)
         width = (Fraction(1, 2), Fraction(3, 4), Fraction(1))[int(rng.integers(0, 3))]
         width = min(width, 1 - shift)
         segments.append((base + shift, base + shift + width))
 
-    candidates = {Fraction(k, 2) + offset for k in range(-4, 7)}
+    candidates = {Fraction(k, 2) for k in range(-4, 7)}
     for left, right in segments:
         candidates |= {left, right, (left + right) / 2}
     ordered = sorted(candidates)
@@ -287,8 +287,8 @@ def generate_instance(cfg: InstanceGenConfig, index: int) -> tuple[MixtureSpec, 
         if rng.random() < 0.5 and lo > 0:
             return m, lo
         return m, lo + (hi - lo) * Fraction(int(rng.integers(1, 8)), 8)
-    x = _random_component(rng, Fraction(0))
-    y = _random_component(rng, Fraction(0))
+    x = _random_component(rng)
+    y = _random_component(rng)
     q = Q_GRID[int(rng.integers(len(Q_GRID)))]
     m = MixtureSpec(q, x, y)
     return m, _choose_level(rng, m)
@@ -406,9 +406,12 @@ def cross_check(
                 bad = [c.relation for c in classification.relations_checked if not c.holds]
                 failures.append(f"cell {classification.label.cell_id} relations: {bad}")
 
-    # Sandwich: F_S(s_p-) <= p <= F_S(s_p).
-    left = mixture_cdf_left_limit(m, s_p)
-    right = mixture_cdf(m, s_p)
+    # Sandwich: F_S(s_p-) <= p <= F_S(s_p), formed as in ``mixture_cdf`` from
+    # the four component CDF values that the bracketing below reads too.
+    fx_left, fx_right = m.x.cdf_left_limit(s_p), m.x.cdf(s_p)
+    gy_left, gy_right = m.y.cdf_left_limit(s_p), m.y.cdf(s_p)
+    left = m.q * fx_left + (1 - m.q) * gy_left
+    right = m.q * fx_right + (1 - m.q) * gy_right
     sandwich_ok = leq(left, p, exact) and leq(p, right, exact)
     if not sandwich_ok:
         failures.append(f"sandwich {left} <= {p} <= {right} violated")
@@ -424,8 +427,6 @@ def cross_check(
 
     # Bracketing of the split levels by the component CDFs at s_p.
     if m.lone is None:
-        fx_left, fx_right = m.x.cdf_left_limit(s_p), m.x.cdf(s_p)
-        gy_left, gy_right = m.y.cdf_left_limit(s_p), m.y.cdf(s_p)
         bracketing_ok = (
             leq(fx_left, sol.alpha_star, exact)
             and leq(sol.alpha_star, fx_right, exact)

@@ -316,6 +316,13 @@ def test_largest_finite_scales_are_accepted():
     assert math.isfinite(Exponential(1e-308).quantile(0.5))
 
 
+def test_parametric_quantile_rejects_levels_outside_the_unit_interval():
+    for d in (Uniform(0, 1), Normal(0, 1), Exponential(2.0), LogNormal(0, 1)):
+        for p in (-0.25, 1.5, F(-1, 10), F(11, 10)):
+            with pytest.raises(DomainError, match="quantile level must lie in"):
+                d.quantile(p)
+
+
 def test_parametric_flatness_outside_support():
     d = Uniform(0, 1)
     flat, witness = d.flat_left_of(0)

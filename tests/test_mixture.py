@@ -288,6 +288,28 @@ def test_numeric_quantile_on_parametric_pair():
     assert numeric_quantile(shifted, F(1, 4)) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_numeric_quantile_returns_the_lower_bracket_end_once_reached():
+    # Qx(1/2) = 0 and Qy(1/2) = 1, and F_S(0) = 5/8 already reaches p: the
+    # answer is the lower end of [min(Qx, Qy), max(Qx, Qy)].
+    m = MixtureSpec(F(1, 2), Piecewise.point_mass(0), Uniform(-1, 3))
+    assert direct_quantile(m, F(1, 2)) == 0.0
+    assert numeric_quantile(m.swapped(), F(1, 2)) == 0.0
+
+
+def test_numeric_quantile_stops_when_the_midpoint_rounds_onto_an_end():
+    # Near 1e9 one float step is about 1.2e-7, far wider than the 1e-12
+    # bisection width, so the bracket ends as two adjacent floats.
+    m = MixtureSpec(F(1, 2), Normal(1e9, 1.0), Normal(1e9 + 1.0, 2.0))
+    s = numeric_quantile(m, F(3, 10))
+
+    def mixture_cdf_float(x):
+        return 0.5 * m.x.cdf(x) + 0.5 * m.y.cdf(x)
+
+    assert 1e9 - 2.0 < s < 1e9 + 1.0
+    assert mixture_cdf_float(s) >= 0.3
+    assert mixture_cdf_float(math.nextafter(s, -math.inf)) < 0.3
+
+
 # ---------------------------------------------------------------------------
 # left limits and sampling
 # ---------------------------------------------------------------------------

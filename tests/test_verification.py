@@ -1,17 +1,21 @@
 """Oracles, instance generation, and the cross-check harness."""
 
+import dataclasses
 import hashlib
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from mixquant import verification
-from mixquant.distributions import DomainError, Normal, Piecewise
-from mixquant.mixture import MixtureSpec
+from mixquant.classify import CaseLabel
+from mixquant.distributions import DomainError, Exponential, LogNormal, Normal, Piecewise, Uniform
+from mixquant.mixture import MixtureSpec, numeric_quantile
 from mixquant.serialization import exact_number_to_string, serialize_mixture
 from mixquant.split import QuantileSolution
 from mixquant.verification import (
+    GRID_FLOAT_SLACK,
     GridOracleConfig,
     InstanceGenConfig,
     cross_check,
@@ -60,6 +64,22 @@ def test_grid_oracle_rejects_endpoint_levels():
         grid_oracle_quantile(m, 0, cfg)
     with pytest.raises(DomainError):
         grid_oracle_quantile(m, 1, cfg)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (Uniform(0.0, 2.0), Exponential(1.5)),
+        (LogNormal(0.0, 0.5), Uniform(1.0, 3.0)),
+        (Exponential(0.5), LogNormal(1.0, 1.0)),
+    ],
+    ids=["uniform-exponential", "lognormal-uniform", "exponential-lognormal"],
+)
+def test_grid_oracle_on_float_families_is_within_one_step(x, y):
+    m = MixtureSpec(F(1, 3), x, y)
+    cfg = GridOracleConfig.from_mixture(m, steps=20_001)
+    for p in (F(1, 10), F(1, 2), F(9, 10)):
+        assert abs(grid_oracle_quantile(m, p, cfg) - numeric_quantile(m, p)) <= cfg.step
 
 
 def test_grid_config_validation():
@@ -215,6 +235,104 @@ def test_cross_check_captures_the_contradiction_instead_of_raising(monkeypatch):
     assert not report.passed
     assert any(f.startswith("classification:") for f in report.failures)
     assert report.relations_ok is False
+
+
+# Each test below patches one wrong answer into the verification module and
+# checks that ``cross_check`` flags it.  ``mixquant.classify`` names the
+# function on the package, so the modules are reached through sys.modules.
+VERIFICATION = sys.modules["mixquant.verification"]
+SHIFTED = MixtureSpec(F(1, 2), Piecewise.uniform(0, 1), Piecewise.uniform(1, 2))
+
+
+def assert_flagged(report, message):
+    assert not report.passed
+    assert any(message in failure for failure in report.failures), report.failures
+    assert message in report.summary_line()
+
+
+def test_cross_check_flags_a_split_direct_deviation_on_a_float_pair(monkeypatch):
+    direct = VERIFICATION.direct_quantile
+    monkeypatch.setattr(VERIFICATION, "direct_quantile", lambda m, p: direct(m, p) + 1.0)
+    report = cross_check(MixtureSpec(F(3, 10), Normal(0, 1), Normal(1, 1)), F(9, 10))
+    assert report.exact_match is None
+    assert report.deviation == pytest.approx(1.0)
+    assert_flagged(report, "split/direct deviation 1.000e+00")
+
+
+def test_cross_check_flags_a_grid_answer_off_the_quantile(monkeypatch):
+    grid = VERIFICATION.grid_oracle_quantile
+    monkeypatch.setattr(
+        VERIFICATION, "grid_oracle_quantile", lambda m, p, cfg: grid(m, p, cfg) + 0.25
+    )
+    report = cross_check(SHIFTED, F(1, 4), GridOracleConfig.from_mixture(SHIFTED, steps=4001))
+    assert report.grid_ok is False
+    assert_flagged(report, "grid 0.75")
+
+
+def test_cross_check_flags_failed_cell_relations(monkeypatch):
+    # s_p = 1/2 is right, but the split (1/4, 1/4) is not the one at F(s_p).
+    wrong = QuantileSolution(F(1, 2), F(1, 4), F(1, 4), True, False, False)
+    monkeypatch.setattr(VERIFICATION, "split_quantile", lambda m, p: wrong)
+    report = cross_check(SHIFTED, F(1, 4))
+    assert report.relations_ok is False
+    assert_flagged(report, "cell 1b relations: ['alpha_star = F(s_p)'")
+
+
+def test_cross_check_flags_a_broken_split_identity(monkeypatch):
+    split = VERIFICATION.split_quantile
+
+    def wrong_split(m, p):
+        solution = split(m, p)
+        return dataclasses.replace(solution, beta_star=solution.beta_star + F(1, 8))
+
+    monkeypatch.setattr(VERIFICATION, "split_quantile", wrong_split)
+    report = cross_check(SHIFTED, F(1, 4))
+    assert report.split_identity_ok is False
+    assert_flagged(report, "split identity 5/16 != 1/4")
+
+
+def test_cross_check_flags_a_swapped_quantile_that_differs(monkeypatch):
+    split = VERIFICATION.split_quantile
+
+    def wrong_on_swap(m, p):
+        solution = split(m, p)
+        return solution if m is SHIFTED else dataclasses.replace(solution, s_p=solution.s_p + 1)
+
+    monkeypatch.setattr(VERIFICATION, "split_quantile", wrong_on_swap)
+    report = cross_check(SHIFTED, F(1, 4))
+    assert report.swap_ok is False
+    assert_flagged(report, "swapped quantile 3/2 != 1/2")
+
+
+def test_cross_check_flags_a_contradiction_on_the_swapped_side(monkeypatch):
+    # The swapped spec gets the (4d) answer s_p = 3 for p = 1/4, whose
+    # F_S(s_p-) = 1/2 lies above p; the spec itself is solved correctly.
+    d = Piecewise(atoms=[(0, F(1, 2)), (3, F(1, 2))])
+    m = MixtureSpec(F(1, 2), d, d)
+    split = VERIFICATION.split_quantile
+    wrong = QuantileSolution(F(3), F(1, 4), F(1, 4), True, True, False)
+    monkeypatch.setattr(
+        VERIFICATION, "split_quantile", lambda spec, p: split(spec, p) if spec is m else wrong
+    )
+    report = cross_check(m, F(1, 4))
+    assert report.relations_ok is True
+    assert report.transpose_ok is False
+    assert_flagged(report, "swapped classification: ")
+
+
+def test_cross_check_flags_a_swapped_cell_that_is_not_the_transpose(monkeypatch):
+    classify = VERIFICATION.classify
+
+    def wrong_on_swap(m, p, solution):
+        report = classify(m, p, solution)
+        if m is not SHIFTED:
+            report.label = CaseLabel(1, "a")
+        return report
+
+    monkeypatch.setattr(VERIFICATION, "classify", wrong_on_swap)
+    report = cross_check(SHIFTED, F(1, 4))
+    assert report.transpose_ok is False
+    assert_flagged(report, "swapped cell 1a is not the transpose of 1b")
 
 
 def test_check_report_round_trips_to_dict():
