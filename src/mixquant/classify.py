@@ -19,7 +19,7 @@ cell/sub-case labels; computing any other signals an internal contradiction.
 
 Every cell asserts a small set of exact relations tying alpha*, beta*, and
 s_p to the component CDFs and inverses; ``verify_cell_relations`` evaluates
-them (exactly for piecewise pairs, within ``FLOAT_TOL`` otherwise).
+them exactly for piecewise pairs and otherwise with ``distributions.close``.
 """
 
 from __future__ import annotations
@@ -211,9 +211,9 @@ def verify_cell_relations(
 ) -> list[RelationCheck]:
     """Evaluate every relation the report's cell asserts.
 
-    Equalities and strict inequalities are exact for piecewise pairs and hold
-    within ``FLOAT_TOL`` otherwise.  A label without relations is infeasible
-    and raises.
+    Equalities and inequalities are exact for piecewise pairs; otherwise they
+    hold up to ``FLOAT_TOL``, relative beyond magnitude 1 (``close``).  A
+    label without relations is infeasible and raises.
     """
     label = report.label
     relations = _CELL_RELATIONS.get((label.f_case, label.g_case, label.subcase))

@@ -34,6 +34,7 @@ __all__ = [
     "DomainError",
     "as_fraction",
     "FLOAT_TOL",
+    "LEVEL_ROUNDING",
     "leq",
     "close",
     "QuantilePiece",
@@ -69,30 +70,28 @@ def as_fraction(value: RealLike) -> Fraction:
     return Fraction(value)
 
 
-#: Absolute tolerance of float comparisons; exact pairs compare exactly.
+#: Float tolerance, absolute below magnitude 1 and relative above it: levels
+#: keep an absolute bound and positions are judged at their own scale.
 FLOAT_TOL = 1e-9
+#: Tolerance of float level sums only rounding moves: q*alpha + (1-q)*beta = p.
+LEVEL_ROUNDING = 1e-12
 
 
-def leq(a: ExtendedReal, b: ExtendedReal, exact: bool) -> bool:
-    """a <= b: exactly when ``exact``, else within ``FLOAT_TOL``."""
+def leq(a: ExtendedReal, b: ExtendedReal, exact: bool, tol: float = FLOAT_TOL) -> bool:
+    """a <= b: exactly when ``exact``, else up to ``tol`` as in ``close``."""
     if a <= b:
         return True
-    if exact:
-        return False
-    try:
-        return float(a) <= float(b) + FLOAT_TOL
-    except OverflowError:
-        return False
+    return not exact and close(a, b, exact, tol)
 
 
-def close(a: ExtendedReal, b: ExtendedReal, exact: bool) -> bool:
-    """a == b: exactly when ``exact``, else within ``FLOAT_TOL``."""
+def close(a: ExtendedReal, b: ExtendedReal, exact: bool, tol: float = FLOAT_TOL) -> bool:
+    """a == b: exactly when ``exact``, else within ``tol``, relative beyond magnitude 1."""
     if a == b:
         return True
     if exact:
         return False
     try:
-        return abs(float(a) - float(b)) <= FLOAT_TOL
+        return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
     except OverflowError:
         return False
 

@@ -24,6 +24,8 @@ from functools import partial
 
 from .classify import ClassificationReport, InternalContradictionError, classify
 from .distributions import (
+    FLOAT_TOL,
+    LEVEL_ROUNDING,
     DomainError,
     Distribution,
     ExtendedReal,
@@ -40,7 +42,6 @@ from .mixture import MixtureSpec, _draws, direct_quantile, mixture_cdf, mixture_
 from .split import QuantileSolution, split_quantile
 
 __all__ = [
-    "GRID_FLOAT_SLACK",
     "GridOracleConfig",
     "InstanceGenConfig",
     "CheckReport",
@@ -51,10 +52,6 @@ __all__ = [
     "cross_check",
     "run_suite",
 ]
-
-#: Slack added to grid comparisons to absorb float CDF evaluation error.
-GRID_FLOAT_SLACK = 1e-9
-
 
 @dataclass(frozen=True, slots=True)
 class GridOracleConfig:
@@ -130,7 +127,7 @@ def grid_oracle_quantile(m: MixtureSpec, p, cfg: GridOracleConfig) -> float:
     xs = np.linspace(cfg.lo, cfg.hi, cfg.steps)
     q = float(m.q)
     fs = q * _cdf_grid(m.x, xs) + (1.0 - q) * _cdf_grid(m.y, xs)
-    hits = fs >= p - GRID_FLOAT_SLACK
+    hits = fs >= p - FLOAT_TOL
     idx = int(np.argmax(hits))
     if not hits[idx]:
         raise ArithmeticError(
@@ -359,7 +356,8 @@ def cross_check(
     most expensive check).  Mixed piecewise/parametric pairs skip direct
     inversion and classification; the grid oracle is their reference.  At
     q in {0, 1}, where one component answers alone, they and the bracketing
-    are skipped.
+    are skipped.  Float verdicts use ``leq``/``close``, with ``LEVEL_ROUNDING``
+    for the level sums only rounding moves: the split identity and p <= F_S(s_p).
     """
     p = as_fraction(p)
     failures: list[str] = []
@@ -385,9 +383,9 @@ def cross_check(
     grid_value = grid_ok = None
     if grid_cfg is not None:
         grid_value = grid_oracle_quantile(m, p, grid_cfg)
-        grid_ok = (
-            -GRID_FLOAT_SLACK <= grid_value - float(s_p) <= grid_cfg.step + GRID_FLOAT_SLACK
-        )
+        # The grid is a float oracle, so it is judged in float on every pair.
+        s = float(s_p)
+        grid_ok = leq(s, grid_value, False) and leq(grid_value, s + grid_cfg.step, False)
         if not grid_ok:
             failures.append(f"grid {grid_value} vs s_p {s_p} (step {grid_cfg.step:.3g})")
 
@@ -412,16 +410,13 @@ def cross_check(
     gy_left, gy_right = m.y.cdf_left_limit(s_p), m.y.cdf(s_p)
     left = m.q * fx_left + (1 - m.q) * gy_left
     right = m.q * fx_right + (1 - m.q) * gy_right
-    sandwich_ok = leq(left, p, exact) and leq(p, right, exact)
+    sandwich_ok = leq(left, p, exact) and leq(p, right, exact, LEVEL_ROUNDING)
     if not sandwich_ok:
         failures.append(f"sandwich {left} <= {p} <= {right} violated")
 
     # Split identity: q*alpha + (1-q)*beta = p.
     recombined = m.q * sol.alpha_star + (1 - m.q) * sol.beta_star
-    if exact:
-        split_identity_ok = recombined == p
-    else:
-        split_identity_ok = abs(float(recombined) - float(p)) <= 1e-12
+    split_identity_ok = close(recombined, p, exact, LEVEL_ROUNDING)
     if not split_identity_ok:
         failures.append(f"split identity {recombined} != {p}")
 

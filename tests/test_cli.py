@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import random
@@ -404,6 +405,40 @@ def test_verify_text_mode_prints_census(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "census:" in out and "failures: 0" in out
+
+
+def planted_failure(monkeypatch):
+    """Make instance 1 of a serial run fail its cross-check; pool workers
+    import the module afresh and would not see the patch."""
+    verification = sys.modules["mixquant.verification"]
+    cross_check = verification.cross_check
+    calls = []
+
+    def failing_once(m, p, grid_cfg=None):
+        report = cross_check(m, p, grid_cfg)
+        calls.append(None)
+        if len(calls) == 2:
+            report = dataclasses.replace(report, failures=("planted failure",))
+        return report
+
+    monkeypatch.setattr(verification, "cross_check", failing_once)
+
+
+def test_verify_lists_its_failures_and_exits_1(capsys, monkeypatch):
+    planted_failure(monkeypatch)
+    assert main(["verify", "--count", "3", "--seed", "1", "--jobs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "[00001] cell=" in out and "FAIL: planted failure" in out
+    assert "failures: 1\n  [00001] planted failure\n" in out
+
+
+def test_verify_machine_output_lists_its_failures(capsys, monkeypatch):
+    planted_failure(monkeypatch)
+    code = main(["--format", "machine", "verify", "--count", "3", "--seed", "1", "--jobs", "1"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] == [[1, ["planted failure"]]]
+    assert sum(doc["census"].values()) == 3
 
 
 def test_verify_rejects_bad_counts(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mixquant.distributions import (
+    LEVEL_ROUNDING,
     NEG_INF,
     POS_INF,
     DomainError,
@@ -19,6 +20,8 @@ from mixquant.distributions import (
     Piecewise,
     Uniform,
     as_fraction,
+    close,
+    leq,
 )
 from mixquant.mixture import MixtureSpec, sample
 
@@ -330,6 +333,55 @@ def test_parametric_flatness_outside_support():
     flat, witness = d.flat_left_of(1.5)
     assert flat and 1 < witness < 1.5
     assert d.flat_left_of(0.5) == (False, None)
+
+
+# ---------------------------------------------------------------------------
+# float comparators
+# ---------------------------------------------------------------------------
+
+
+def test_float_levels_keep_an_absolute_bound():
+    assert not leq(0.5 + 2e-9, 0.5, False)
+    assert leq(0.5 + 5e-10, 0.5, False)
+    assert close(0.3, 0.3 + 5e-10, False)
+    assert not close(0.3, 0.3 + 2e-9, False)
+
+
+def test_float_positions_are_judged_at_their_scale():
+    # One float step at 1e9 is 1.2e-7, so an absolute 1e-9 would demand
+    # bit-equality there; the bound is relative beyond magnitude 1.
+    assert close(1e9, 1e9 + 0.5, False)
+    assert not close(1e9, 1e9 + 2.0, False)
+    assert close(-1e9 - 0.5, -1e9, False)
+
+
+def test_leq_is_one_sided():
+    assert leq(-1e9, 1.0, False) and leq(1e9, 1e9 + 2.0, False)
+    assert leq(1e9 + 0.5, 1e9, False)
+    assert not leq(1e9 + 2.0, 1e9, False)
+    assert not leq(1.0, -1e9, False)
+
+
+def test_exact_comparisons_use_no_tolerance():
+    tiny = F(1, 10**30)
+    assert not leq(F(1, 2) + tiny, F(1, 2), True)
+    assert not close(F(1, 3), F(1, 3) + tiny, True)
+    assert not close(F(10**9), F(10**9) + F(1, 2), True)
+    assert leq(F(1, 2), F(1, 2) + tiny, True) and close(F(1, 3), F(1, 3), True)
+
+
+def test_the_bound_is_a_parameter():
+    assert close(0.5, 0.5 + 5e-13, False, LEVEL_ROUNDING)
+    assert not close(0.5, 0.5 + 1e-11, False, LEVEL_ROUNDING)
+    assert not leq(0.5 + 1e-11, 0.5, False, LEVEL_ROUNDING)
+    assert leq(0.5 + 1e-11, 0.5, False)
+
+
+def test_values_beyond_the_float_range_are_not_close():
+    far = F(10**400)
+    assert not close(far, 1e308, False) and not close(1e308, far, False)
+    assert not leq(far, 1.0, False)
+    assert leq(1.0, far, False) and close(far, far, False)
 
 
 # ---------------------------------------------------------------------------

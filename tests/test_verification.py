@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction as F
 
@@ -15,7 +16,6 @@ from mixquant.mixture import MixtureSpec, numeric_quantile
 from mixquant.serialization import exact_number_to_string, serialize_mixture
 from mixquant.split import QuantileSolution
 from mixquant.verification import (
-    GRID_FLOAT_SLACK,
     GridOracleConfig,
     InstanceGenConfig,
     cross_check,
@@ -333,6 +333,36 @@ def test_cross_check_flags_a_swapped_cell_that_is_not_the_transpose(monkeypatch)
     report = cross_check(SHIFTED, F(1, 4))
     assert report.transpose_ok is False
     assert_flagged(report, "swapped cell 1a is not the transpose of 1b")
+
+
+# A one-ULP miss: one float step below the quantile, F_S falls short of p by
+# 3e-12, inside FLOAT_TOL but beyond LEVEL_ROUNDING.
+ULP_MISS = MixtureSpec(
+    F(3, 4),
+    Normal(240533.4791686431, 0.8569060529958514),
+    Normal(240530.81545801306, 1.594316653774451),
+)
+
+
+def test_cross_check_flags_an_answer_one_float_below_the_quantile(monkeypatch):
+    split, direct = VERIFICATION.split_quantile, VERIFICATION.direct_quantile
+
+    def one_float_below(m, p):
+        s_p = math.nextafter(direct(m, p), -math.inf)
+        return dataclasses.replace(split(m, p), s_p=s_p)
+
+    monkeypatch.setattr(VERIFICATION, "split_quantile", one_float_below)
+    report = cross_check(ULP_MISS, F(61, 100))
+    assert report.sandwich_ok is False
+    assert_flagged(report, "sandwich ")
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["as-given", "swapped"])
+def test_cross_check_judges_float_positions_at_their_scale(swap):
+    # Near 1e8 one float step is 1.5e-8, wider than an absolute 1e-9.
+    m = MixtureSpec(F(1, 4), Normal(1e8, 1e3), Normal(1e8 + 500, 2e3))
+    report = cross_check(m.swapped() if swap else m, F(3, 10))
+    assert report.failures == ()
 
 
 def test_check_report_round_trips_to_dict():
