@@ -19,7 +19,7 @@ cell/sub-case labels; computing any other signals an internal contradiction.
 
 Every cell asserts a small set of exact relations tying alpha*, beta*, and
 s_p to the component CDFs and inverses; ``verify_cell_relations`` evaluates
-them exactly for piecewise pairs and otherwise with ``distributions.close``.
+them exactly for piecewise pairs and otherwise with ``distributions.close``/``leq``.
 """
 
 from __future__ import annotations
@@ -211,9 +211,10 @@ def verify_cell_relations(
 ) -> list[RelationCheck]:
     """Evaluate every relation the report's cell asserts.
 
-    Equalities and inequalities are exact for piecewise pairs; otherwise they
-    hold up to ``FLOAT_TOL``, relative beyond magnitude 1 (``close``).  A
-    label without relations is infeasible and raises.
+    Relations are exact for piecewise pairs.  Otherwise equalities hold up to
+    ``FLOAT_TOL``, relative beyond magnitude 1 (``close``), and s_p > Q(level)
+    needs a gap beyond the absolute ``FLOAT_TOL``.  A label without relations
+    is infeasible and raises.
     """
     label = report.label
     relations = _CELL_RELATIONS.get((label.f_case, label.g_case, label.subcase))
@@ -241,6 +242,9 @@ def verify_cell_relations(
                 note = f" [{name} {'>' if above else '='} {cdf}(s_p-)]"
             bound = d.quantile(level)
             text = f"s_p {relation} {inverse}({name}){note}"
-            holds = close(s_p, bound, exact) if relation == "=" else not leq(s_p, bound, exact)
+            if relation == "=":
+                holds = close(s_p, bound, exact)
+            else:  # a strict relation asserts a gap: no relative widening
+                holds = not leq(s_p, bound, exact, relative=False)
         checks.append(RelationCheck(text, bool(holds)))
     return checks

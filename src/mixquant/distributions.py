@@ -77,21 +77,21 @@ FLOAT_TOL = 1e-9
 LEVEL_ROUNDING = 1e-12
 
 
-def leq(a: ExtendedReal, b: ExtendedReal, exact: bool, tol: float = FLOAT_TOL) -> bool:
+def leq(a: ExtendedReal, b: ExtendedReal, exact: bool, tol=FLOAT_TOL, relative=True) -> bool:
     """a <= b: exactly when ``exact``, else up to ``tol`` as in ``close``."""
     if a <= b:
         return True
-    return not exact and close(a, b, exact, tol)
+    return not exact and close(a, b, exact, tol, relative)
 
 
-def close(a: ExtendedReal, b: ExtendedReal, exact: bool, tol: float = FLOAT_TOL) -> bool:
-    """a == b: exactly when ``exact``, else within ``tol``, relative beyond magnitude 1."""
+def close(a: ExtendedReal, b: ExtendedReal, exact: bool, tol=FLOAT_TOL, relative=True) -> bool:
+    """a == b: exactly when ``exact``, else within ``tol`` (relative beyond 1 if ``relative``)."""
     if a == b:
         return True
     if exact:
         return False
     try:
-        return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
+        return math.isclose(a, b, rel_tol=tol if relative else 0.0, abs_tol=tol)
     except OverflowError:
         return False
 

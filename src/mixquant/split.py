@@ -127,8 +127,9 @@ def split_quantile(m: MixtureSpec, p: RealLike) -> QuantileSolution:
     qx = m.x.quantile(alpha)
     qy = m.y.quantile(beta)
     s_p = max(qx, qy)
-    x_attains = close(qx, s_p, m.is_exact)
-    y_attains = close(qy, s_p, m.is_exact)
+    # An absolute bound: a true gap short of s_p is no rounding, at any scale.
+    x_attains = close(qx, s_p, m.is_exact, relative=False)
+    y_attains = close(qy, s_p, m.is_exact, relative=False)
     return QuantileSolution(s_p, alpha, beta, x_attains, y_attains, clamped)
 
 

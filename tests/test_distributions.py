@@ -355,6 +355,13 @@ def test_float_positions_are_judged_at_their_scale():
     assert close(-1e9 - 0.5, -1e9, False)
 
 
+def test_an_absolute_bound_keeps_a_gap_at_any_scale():
+    assert not close(1e9, 1e9 + 0.5, False, relative=False)
+    assert not leq(1e9 + 0.5, 1e9, False, relative=False)
+    assert close(0.3, 0.3 + 5e-10, False, relative=False)
+    assert leq(1.5 + 5e-10, 1.5, False, relative=False)
+
+
 def test_leq_is_one_sided():
     assert leq(-1e9, 1.0, False) and leq(1e9, 1e9 + 2.0, False)
     assert leq(1e9 + 0.5, 1e9, False)

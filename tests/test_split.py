@@ -203,6 +203,15 @@ def test_split_infimum_not_attained():
     assert ordering_predicate(m, F(1, 2), F(1, 2) + F(1, 100))
 
 
+def test_split_keeps_a_true_gap_at_large_scale():
+    # Qx(1) = 1e9 falls 0.75 short of s_p: within FLOAT_TOL * |s_p|, yet a gap.
+    m = MixtureSpec(F(1, 2), Uniform(0, 1e9), Uniform(1e9 + 0.25, 1e9 + 1.25))
+    sol = split_quantile(m, F(3, 4))
+    assert sol.s_p == 1e9 + 0.75 and sol.x_attains is False and sol.y_attains
+    sol = split_quantile(m.swapped(), F(3, 4))
+    assert sol.x_attains and sol.y_attains is False
+
+
 def test_split_degenerate_weights():
     x = Piecewise.uniform(0, 1)
     y = Piecewise.point_mass(9)

@@ -365,6 +365,16 @@ def test_cross_check_judges_float_positions_at_their_scale(swap):
     assert report.failures == ()
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["as-given", "swapped"])
+def test_cross_check_keeps_a_true_gap_at_large_scale(swap):
+    # One component stops 0.75 short of s_p = 1e9 + 0.75: the strict relation
+    # holds, since a gap is no rounding however small it is against |s_p|.
+    m = MixtureSpec(F(1, 2), Uniform(0, 1e9), Uniform(1e9 + 0.25, 1e9 + 1.25))
+    report = cross_check(m.swapped() if swap else m, F(3, 4))
+    assert report.failures == ()
+    assert report.cell_id == ("1b" if swap else "2a")
+
+
 def test_check_report_round_trips_to_dict():
     m = MixtureSpec(F(1, 2), Piecewise.uniform(0, 1), Piecewise.uniform(1, 2))
     report = cross_check(m, F(1, 4))
