@@ -1,7 +1,7 @@
 """Independent oracles and the randomized cross-check harness.
 
 Three routes to the same quantile never share code with the split solver:
-direct inversion of the merged CDF (exact), a grid scan of the mixture CDF
+direct inversion of the mixture CDF (exact), a grid scan of the mixture CDF
 (within one grid step), and a seeded Monte Carlo order statistic (within a
 CLT band).  cross_check runs one instance through all applicable routes and
 every structural invariant; run_suite does that for a generated population

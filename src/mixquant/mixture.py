@@ -2,13 +2,16 @@
 
 The mixture CDF is the convex combination q*F + (1-q)*G.  For a pair of
 exact piecewise components the mixture is itself piecewise, so direct
-inversion of the CDF stays exact; for parametric pairs the leftmost
+inversion of the CDF stays exact: it bisects the mixture's quantile pieces,
+walked once from the components' own.  For parametric pairs the leftmost
 crossing of the level p is bracketed and bisected in floating point.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,6 +23,8 @@ from .distributions import (
     ExtendedReal,
     Piecewise,
     RealLike,
+    _find_cut,
+    _float_key,
     as_fraction,
 )
 
@@ -40,16 +45,17 @@ DIRECT_BISECTION_TOL = 1e-12
 
 _ZERO = Fraction(0)
 _FIRST = itemgetter(0)
+_LEV_HI = itemgetter(1)
 
 
 @dataclass(frozen=True)
 class MixtureSpec:
     """Mixing weight q plus the two component distributions.
 
-    For a piecewise pair the exact merged distribution is built once, on the
-    first read of ``merged``, and reused by every later direct inversion and
-    level choice on the same spec.  It is not a field, so ``==`` and
-    ``hash`` still compare only ``q``, ``x`` and ``y``.
+    For a piecewise pair the quantile pieces of the mixture CDF are walked
+    once, on the first read of ``pieces``, and reused by every later direct
+    inversion and level choice on the same spec.  They are not a field, so
+    ``==`` and ``hash`` still compare only ``q``, ``x`` and ``y``.
     """
 
     q: Fraction
@@ -72,9 +78,18 @@ class MixtureSpec:
         return self.x if self.q == 1 else self.y if self.q == 0 else None
 
     @cached_property
-    def merged(self) -> Piecewise:
-        """``merged_distribution(self)``, built on first use and then reused."""
-        return merged_distribution(self)
+    def pieces(self) -> tuple[tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...], array]:
+        """The mixture CDF's quantile pieces and a float copy of their top levels.
+
+        Each piece is ``(lev_lo, lev_hi, x_left, x_right)``, the fields of the
+        merged distribution's ``QuantilePiece`` but its slope; the floats are
+        the ``_find_cut`` cuts of the ``lev_hi`` column.  Walked on first use
+        (``_walk_pieces``) and then reused.
+        """
+        if not self.is_exact:
+            raise ValueError("the mixture's quantile pieces need two piecewise components")
+        pieces = tuple(_walk_pieces(self))
+        return pieces, array("d", [_float_key(lev_hi) for _, lev_hi, _, _ in pieces])
 
     def swapped(self) -> "MixtureSpec":
         """The same mixture with the component roles exchanged."""
@@ -102,7 +117,8 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
     no set: with n and m features this costs O(n+m).  Between consecutive
     endpoints at most one segment of each component is active, because a
     component's segments have disjoint interiors.  The result is rebuilt on
-    every call; ``MixtureSpec.merged`` keeps one.
+    every call.  No query path builds it: direct inversion and the instance
+    generator read the same pieces from ``MixtureSpec.pieces``.
     """
     if not m.is_exact:
         raise ValueError("merged_distribution needs two piecewise components")
@@ -141,6 +157,55 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
     return Piecewise(atoms, segments)
 
 
+def _walk_pieces(m: MixtureSpec):
+    """The quantile pieces of q*F + (1-q)*G, from one walk over the components' own.
+
+    Yields ``(lev_lo, lev_hi, x_left, x_right)`` in level order: the pieces
+    of ``merged_distribution(m)``, without building it.  Each component
+    piece becomes events ``(x, side, value)``, merged by x: a segment piece
+    sets its side's density ``weight / slope`` at its left end and clears it
+    at its right end, and an atom piece (side None) adds the mass
+    ``weight * (lev_hi - lev_lo)`` at its point.  Only a move to a new x
+    closes the atom pending at the old one and then the stretch from it, so
+    coincident atoms of both sides become one piece.  Within a side a piece
+    ending at x precedes the one starting there, so the densities are those
+    right of x once every event at x is read.  A side of weight 0 is left out.
+    """
+    runs = []
+    for side, (weight, comp) in enumerate(((m.q, m.x), (1 - m.q, m.y))):
+        if not weight:
+            continue
+        run = []
+        for piece in comp.quantile_pieces():
+            if piece.slope:
+                run += ((piece.x_left, side, weight / piece.slope), (piece.x_right, side, _ZERO))
+            else:
+                run.append((piece.x_left, None, weight * (piece.lev_hi - piece.lev_lo)))
+        runs.append(run)
+    active = [_ZERO, _ZERO]
+    cum = mass = density = _ZERO
+    at = None
+    for x, side, value in heapq.merge(*runs, key=_FIRST):
+        if x != at:
+            if mass:
+                top = cum + mass
+                yield cum, top, at, at
+                cum, mass = top, _ZERO
+            if density:
+                top = cum + density * (x - at)
+                yield cum, top, at, x
+                cum = top
+            at = x
+        if side is None:
+            mass = mass + value if mass else value
+        else:
+            active[side] = value
+            x_density, y_density = active
+            density = x_density + y_density if x_density and y_density else x_density or y_density
+    if mass:
+        yield cum, cum + mass, at, at
+
+
 def _checked_level(m: MixtureSpec, p: RealLike) -> Fraction:
     """p as a ``Fraction`` in (0, 1) that the components answering it resolve.
 
@@ -161,23 +226,31 @@ def _checked_level(m: MixtureSpec, p: RealLike) -> Fraction:
 def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
     """inf {x : mixture_cdf(m, x) >= p} by direct inversion of the mixture CDF.
 
-    Exact for piecewise pairs (via the memoised ``m.merged``); for every
-    other pair the leftmost crossing is found by ``numeric_quantile``.
+    Exact for piecewise pairs: the level is bisected in the memoised
+    quantile pieces ``m.pieces``.  For every other pair the leftmost
+    crossing is found by ``numeric_quantile``.
     """
     p = _checked_level(m, p)
     if m.lone is not None:
         return m.lone.quantile(p)
-    if m.is_exact:
-        return m.merged.quantile(p)
-    return numeric_quantile(m, p)
+    if not m.is_exact:
+        return numeric_quantile(m, p)
+    pieces, cuts = m.pieces
+    lev_lo, lev_hi, x_left, x_right = pieces[
+        _find_cut(pieces, cuts, _LEV_HI, p, bisect.bisect_left)
+    ]
+    if x_left == x_right:
+        return x_left
+    return x_left + (p - lev_lo) * (x_right - x_left) / (lev_hi - lev_lo)
 
 
 def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
     """Smallest x with F_S(x) >= p by monotone bracketing and bisection.
 
     Works for any component pair (the CDFs only need to be evaluable), at
-    float precision ``DIRECT_BISECTION_TOL``; the exact merged route is
-    preferable whenever both components are piecewise.
+    float precision ``DIRECT_BISECTION_TOL``; ``direct_quantile``'s exact
+    route over ``MixtureSpec.pieces`` is preferable whenever both components
+    are piecewise.
     """
     p = float(p)
     if not 0.0 < p < 1.0:

@@ -75,13 +75,17 @@ class GridOracleConfig:
     def from_mixture(cls, m: MixtureSpec, steps: int) -> "GridOracleConfig":
         """Support hull of both components, padded one unit on each side.
 
-        Unbounded supports fall back to extreme component quantiles.
+        Unbounded supports fall back to extreme component quantiles; an
+        exact bound beyond the float range is a ``DomainError``.
         """
         los, his = [], []
         for comp in (m.x, m.y):
-            lo, hi = comp.support_bounds()
-            los.append(float(lo) if math.isfinite(float(lo)) else float(comp.quantile(1e-7)))
-            his.append(float(hi) if math.isfinite(float(hi)) else float(comp.quantile(1 - 1e-7)))
+            try:
+                lo, hi = map(float, comp.support_bounds())
+            except OverflowError:
+                raise DomainError("grid oracle support bound exceeds the float range") from None
+            los.append(lo if math.isfinite(lo) else float(comp.quantile(1e-7)))
+            his.append(hi if math.isfinite(hi) else float(comp.quantile(1 - 1e-7)))
         return cls(min(los) - 1.0, max(his) + 1.0, steps)
 
 
@@ -217,14 +221,12 @@ def _weighted_piecewise(
 
 def _choose_level(rng: np.random.Generator, m: MixtureSpec) -> Fraction:
     """A level in (0, 1), biased toward the mixture CDF's own critical levels."""
-    pieces = m.merged.quantile_pieces()
+    pieces, _ = m.pieces
     # Piece levels rise strictly from 0 to 1, so the inner cuts are the top
     # levels of all pieces but the last.
-    boundary = [piece.lev_hi for piece in pieces[:-1]]
+    boundary = [lev_hi for _, lev_hi, _, _ in pieces[:-1]]
     jump_mids = [
-        (piece.lev_lo + piece.lev_hi) / 2
-        for piece in pieces
-        if piece.x_left == piece.x_right
+        (lev_lo + lev_hi) / 2 for lev_lo, lev_hi, x_left, x_right in pieces if x_left == x_right
     ]
     roll = rng.random()
     if roll < 0.40 and boundary:

@@ -199,11 +199,11 @@ def test_every_small_lattice_pair_cross_checks_and_fills_every_label():
     failures = []
     for x, y in itertools.product(dists, repeat=2):
         m = MixtureSpec(F(1, 3), x, y)
-        pieces = m.merged.quantile_pieces()
-        levels = {piece.lev_hi for piece in pieces[:-1]} | {
-            (piece.lev_lo + piece.lev_hi) / 2
-            for piece in pieces
-            if piece.x_left == piece.x_right
+        pieces, _ = m.pieces
+        levels = {lev_hi for _, lev_hi, _, _ in pieces[:-1]} | {
+            (lev_lo + lev_hi) / 2
+            for lev_lo, lev_hi, x_left, x_right in pieces
+            if x_left == x_right
         }
         for p in sorted(levels):
             report = cross_check(m, p)

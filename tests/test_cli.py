@@ -179,7 +179,9 @@ def test_curve_writes_exact_tables(spec_file, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_curve_merges_an_exact_mixture_once(spec_file, tmp_path, merge_counter):
+def test_curve_walks_an_exact_mixture_once_and_never_merges(
+    spec_file, tmp_path, walk_counter, merge_counter
+):
     doc = {
         "q": "1/3",
         "X": {"kind": "piecewise", "atoms": [["0", "1/4"]], "segments": [["0", "2", "3/4"]]},
@@ -187,7 +189,8 @@ def test_curve_merges_an_exact_mixture_once(spec_file, tmp_path, merge_counter):
     }
     argv = ["curve", "--spec", spec_file(doc), "--from", "-2", "--to", "3", "--steps", "16"]
     assert main(argv + ["--out", str(tmp_path / "curve.csv")]) == 0
-    assert len(merge_counter) == 1
+    assert len(walk_counter) == 1
+    assert merge_counter == []
 
 
 def test_curve_reads_each_component_cdf_once_per_row(spec_file, tmp_path, monkeypatch):
@@ -344,7 +347,9 @@ def _reference_curve(q, x, y, lo, hi, steps):
     return "\n".join(rows) + "\n"
 
 
-def test_curve_on_a_wide_document_matches_the_reference(spec_file, tmp_path, merge_counter):
+def test_curve_on_a_wide_document_matches_the_reference(
+    spec_file, tmp_path, walk_counter, merge_counter
+):
     rng = random.Random(60)
     x, x_literal = _adjacent_units(rng, 60, F(0))
     y, y_literal = _adjacent_units(rng, 60, F(1, 3))
@@ -352,7 +357,8 @@ def test_curve_on_a_wide_document_matches_the_reference(spec_file, tmp_path, mer
     out = tmp_path / "curve.csv"
     argv = ["curve", "--spec", spec_file(doc), "--from", "-1", "--to", "61", "--steps", "16"]
     assert main(argv + ["--out", str(out)]) == 0
-    assert len(merge_counter) == 1
+    assert len(walk_counter) == 1
+    assert merge_counter == []
     expected = _reference_curve(F(2, 5), x, y, F(-1), F(61), 16)
     assert out.read_text(encoding="utf-8") == expected
 

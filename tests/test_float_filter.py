@@ -131,7 +131,7 @@ def _split_levels(m: MixtureSpec) -> list:
     cuts_x = [piece.lev_hi for piece in m.x.quantile_pieces()]
     cuts_y = [piece.lev_hi for piece in m.y.quantile_pieces()]
     levels = set(cuts_x) | set(cuts_y) | {F(k, 60) for k in range(1, 60)}
-    levels |= {piece.lev_hi for piece in m.merged.quantile_pieces()}
+    levels |= {lev_hi for _, lev_hi, _, _ in m.pieces[0]}
     # Levels whose feasible range or mapped cuts land on the cuts themselves.
     levels |= {m.q * a + (1 - m.q) * b for a in cuts_x for b in cuts_y}
     return sorted(p for p in levels if 0 < p < 1)

@@ -3,9 +3,11 @@
 import ast
 import glob
 import hashlib
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -29,7 +31,9 @@ from mixquant.serialization import serialize_mixture
 from mixquant.verification import InstanceGenConfig, generate_instance, monte_carlo_quantile
 
 from reference import ref_cdf, ref_merged, ref_quantile
+from test_cli import _adjacent_units
 from test_distributions import levels, piecewise_dists, points
+from test_float_filter import FIXTURES
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -219,19 +223,83 @@ def test_merged_distribution_equals_reference_merge_on_generated_instances():
         assert (merged.atoms, merged.segments) == ref_merged(m), f"instance {index}"
 
 
-def test_memoised_merge_leaves_equality_and_hash_alone():
+def test_memoised_pieces_leave_equality_and_hash_alone(walk_counter):
     x, y = Piecewise.uniform(0, 2), Piecewise.empirical([1, 3])
     m = MixtureSpec(F(1, 3), x, y)
     twin = MixtureSpec(F(1, 3), x, y)
-    assert m.merged is m.merged
-    assert m.merged == merged_distribution(twin)
+    assert m.pieces is m.pieces
+    # Equal with one memo filled, and with both.
     assert m == twin and hash(m) == hash(twin)
+    assert m.pieces == twin.pieces
+    assert m == twin and hash(m) == hash(twin)
+    assert [id(walked) for walked in walk_counter] == [id(m), id(twin)]
 
 
 def test_merged_requires_piecewise_pair():
     m = MixtureSpec(F(1, 2), Piecewise.point_mass(0), Normal(0, 1))
     with pytest.raises(ValueError):
         merged_distribution(m)
+    with pytest.raises(ValueError):
+        m.pieces
+
+
+# ---------------------------------------------------------------------------
+# the walked quantile pieces vs. the merged distribution
+# ---------------------------------------------------------------------------
+
+
+def _wide_pairs():
+    """Adjacent unit segments with atoms on segment ends, Y offset by 1/3 or
+    sharing X's ends (where atoms of both sides can coincide)."""
+    rng = random.Random(15)
+    pairs = []
+    for features, offset, q in ((20, F(1, 3), F(2, 5)), (40, F(0), F(1, 3)), (30, F(0), F(3, 4))):
+        x, _ = _adjacent_units(rng, features, F(0))
+        y, _ = _adjacent_units(rng, features, offset)
+        pairs.append(
+            MixtureSpec(q, Piecewise(x.atoms, x.segments), Piecewise(y.atoms, y.segments))
+        )
+    return pairs
+
+
+WALK_CASES = {
+    "generated": lambda: [
+        generate_instance(InstanceGenConfig(seed=seed), index)[0]
+        for seed in (0, 1, 7919)
+        for index in range(150)
+    ],
+    "wide": _wide_pairs,
+    "coincident": lambda: [
+        MixtureSpec(
+            q,
+            Piecewise(atoms=[(0, F(1, 2))], segments=[(0, 2, F(1, 2))]),
+            Piecewise(atoms=[(0, F(1, 4))], segments=[(1, 3, F(3, 4))]),
+        )
+        for q in (F(1, 2), F(1))
+    ],
+    "float-filter": lambda: [
+        MixtureSpec(F(2, 5), make_x(), make_y())
+        for make_x, make_y in itertools.product(FIXTURES.values(), repeat=2)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_walked_pieces_equal_the_merged_pieces(name):
+    for m in WALK_CASES[name]():
+        for mm in (m, m.swapped()):
+            merged = merged_distribution(mm)
+            expected = tuple(
+                (piece.lev_lo, piece.lev_hi, piece.x_left, piece.x_right)
+                for piece in merged.quantile_pieces()
+            )
+            pieces, cuts = mm.pieces
+            assert pieces == expected, mm
+            assert list(cuts) == [float(lev_hi) for _, lev_hi, _, _ in pieces]
+            probes = {lev_hi for _, lev_hi, _, _ in pieces[:-1]}
+            probes |= {(lev_lo + lev_hi) / 2 for lev_lo, lev_hi, _, _ in pieces}
+            for p in sorted(probes):
+                assert direct_quantile(mm, p) == ref_quantile(merged, p), (mm, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The optimal split: feasible range, ordering predicate, and the quantile."""
 
+import math
 from fractions import Fraction as F
 from functools import partial
 
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixquant.classify import classify
-from mixquant.distributions import DomainError, Exponential, LogNormal, Normal, Piecewise, Uniform
+from mixquant.distributions import (
+    DomainError,
+    Exponential,
+    LogNormal,
+    Normal,
+    Piecewise,
+    Uniform,
+    close,
+)
 from mixquant.mixture import MixtureSpec, direct_quantile, merged_distribution
 from mixquant.split import (
     _solve_split,
@@ -407,6 +416,19 @@ def test_split_on_normal_pair_agrees_with_direct_inversion():
     assert abs(sol.s_p - direct_quantile(m, F(1, 2))) <= 1e-9
     # strictly increasing components split with equal component quantiles
     assert abs(m.x.quantile(sol.alpha_star) - m.y.quantile(sol.beta_star)) <= 1e-9
+
+
+def test_numeric_split_stops_before_beta_rounds_to_one():
+    # The float bisection stops once alpha's bracket is BISECTION_WIDTH wide.
+    # Bisected down to adjacent floats, this split rounds beta(alpha*) to 1.0,
+    # where Qy is +inf, and s_p came out inf.
+    m = MixtureSpec(
+        F(1, 3), Normal(2962547.835112346, 47797870.0225252), Normal(0, 6386450.517567269)
+    )
+    for mm in (m, m.swapped()):
+        s_p = split_quantile(mm, F(19, 20)).s_p
+        assert math.isfinite(s_p)
+        assert close(s_p, direct_quantile(mm, F(19, 20)), False)
 
 
 def test_split_on_uniform_pair_matches_exact_twin():

@@ -101,6 +101,18 @@ def test_grid_config_from_mixture_handles_unbounded_support():
     assert cfg.lo < -5.0 and cfg.hi > 6.0
 
 
+def test_grid_config_from_mixture_rejects_a_support_beyond_the_float_range():
+    # The exact routes answer this mixture (s_p = 1 at p = 3/4), but no
+    # float grid reaches the atom at -10**400.
+    far = Piecewise(atoms=[(-(10**400), F(1, 2))], segments=[(0, 1, F(1, 2))])
+    m = MixtureSpec(F(1, 2), far, Piecewise.uniform(0, 2))
+    for mm in (m, m.swapped()):
+        with pytest.raises(DomainError, match="float range"):
+            GridOracleConfig.from_mixture(mm, steps=100)
+        report = cross_check(mm, F(3, 4))
+        assert report.passed and report.s_p == 1
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle
 # ---------------------------------------------------------------------------
@@ -174,13 +186,14 @@ def test_generated_levels_and_weights_stay_in_range():
         assert 0 < m.q < 1
 
 
-def test_generate_and_cross_check_share_one_merge(merge_counter):
+def test_generate_and_cross_check_share_one_walk(walk_counter, merge_counter):
     cfg = InstanceGenConfig(seed=5)
     for index in range(40):
         m, p = generate_instance(cfg, index)
         assert cross_check(m, p).passed
-        assert merge_counter == [m], f"instance {index}"
-        merge_counter.clear()
+        assert walk_counter == [m], f"instance {index}"
+        walk_counter.clear()
+    assert merge_counter == []
 
 
 # ---------------------------------------------------------------------------
