@@ -94,12 +94,18 @@ def _cdf_grid(d: Distribution, xs: np.ndarray) -> np.ndarray:
     import numpy as np
 
     if isinstance(d, Piecewise):
+        # Each feature touches only the points where it moves the CDF: an
+        # atom from its location on, a segment's ramp on the points strictly
+        # inside it and its full rise from its right end on (xs is sorted).
         out = np.zeros_like(xs)
         for loc, mass in d.atoms:
-            out += float(mass) * (xs >= float(loc))
+            out[np.searchsorted(xs, float(loc)):] += float(mass)
         for left, right, rise in d.segments:
             left_f, right_f = float(left), float(right)
-            out += float(rise) * np.clip((xs - left_f) / (right_f - left_f), 0.0, 1.0)
+            i = np.searchsorted(xs, left_f, side="right")
+            k = np.searchsorted(xs, right_f)
+            out[i:k] += float(rise) * np.clip((xs[i:k] - left_f) / (right_f - left_f), 0.0, 1.0)
+            out[k:] += float(rise)
         return out
     if isinstance(d, Uniform):
         return np.clip((xs - d.a) / (d.b - d.a), 0.0, 1.0)
@@ -164,6 +170,8 @@ MAX_ATOMS = 3
 MAX_SEGMENTS = 2
 Q_GRID = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(3, 4))
 P_GRID = tuple(Fraction(k, 20) for k in range(1, 20))
+#: The generator's atom lattice, the half-integers -2..3, in eighths.
+_HALF_LATTICE = tuple(range(-16, 25, 4))
 
 
 @dataclass(frozen=True)
@@ -176,30 +184,34 @@ class InstanceGenConfig:
 def _random_component(rng: np.random.Generator) -> Piecewise:
     """One piecewise distribution over a half-integer lattice.
 
-    Segments occupy distinct unit cells so interiors never overlap; atoms
-    favor segment endpoints and midpoints, which is what produces the
-    jump-with-mass-below and jump-inside-plateau geometries.
+    Positions are worked out as integers in eighths and become ``Fraction``s
+    only once chosen.  Segments occupy distinct unit cells so interiors never
+    overlap; their widths are even in eighths, so midpoints stay on the
+    lattice.  Atoms favor segment endpoints and midpoints, which is what
+    produces the jump-with-mass-below and jump-inside-plateau geometries.
     """
     cells = [int(c) - 2 for c in rng.permutation(5)]
     n_seg = int(rng.integers(0, MAX_SEGMENTS + 1))
-    segments: list[tuple[Fraction, Fraction]] = []
+    segments: list[tuple[int, int]] = []
     for i in range(n_seg):
-        base = Fraction(cells[i])
-        shift = Fraction(1, 4) if rng.random() < 0.3 else Fraction(0)
-        width = (Fraction(1, 2), Fraction(3, 4), Fraction(1))[int(rng.integers(0, 3))]
-        width = min(width, 1 - shift)
+        base = 8 * cells[i]
+        shift = 2 if rng.random() < 0.3 else 0
+        width = (4, 6, 8)[int(rng.integers(0, 3))]
+        width = min(width, 8 - shift)
         segments.append((base + shift, base + shift + width))
 
-    candidates = {Fraction(k, 2) for k in range(-4, 7)}
+    candidates = set(_HALF_LATTICE)
     for left, right in segments:
-        candidates |= {left, right, (left + right) / 2}
+        candidates |= {left, right, (left + right) // 2}
     ordered = sorted(candidates)
     lo_atoms = 1 if n_seg == 0 else 0
     n_atoms = int(rng.integers(lo_atoms, MAX_ATOMS + 1))
     picks = rng.choice(len(ordered), size=min(n_atoms, len(ordered)), replace=False)
-    atoms = [ordered[int(i)] for i in picks]
+    atoms = [Fraction(ordered[int(i)], 8) for i in picks]
 
-    return _weighted_piecewise(rng, atoms, segments)
+    return _weighted_piecewise(
+        rng, atoms, [(Fraction(left, 8), Fraction(right, 8)) for left, right in segments]
+    )
 
 
 def _weighted_piecewise(
@@ -225,14 +237,13 @@ def _choose_level(rng: np.random.Generator, m: MixtureSpec) -> Fraction:
     # Piece levels rise strictly from 0 to 1, so the inner cuts are the top
     # levels of all pieces but the last.
     boundary = [lev_hi for _, lev_hi, _, _ in pieces[:-1]]
-    jump_mids = [
-        (lev_lo + lev_hi) / 2 for lev_lo, lev_hi, x_left, x_right in pieces if x_left == x_right
-    ]
+    jumps = [(lev_lo, lev_hi) for lev_lo, lev_hi, x_left, x_right in pieces if x_left == x_right]
     roll = rng.random()
     if roll < 0.40 and boundary:
         return boundary[int(rng.integers(len(boundary)))]
-    if roll < 0.62 and jump_mids:
-        return jump_mids[int(rng.integers(len(jump_mids)))]
+    if roll < 0.62 and jumps:
+        lev_lo, lev_hi = jumps[int(rng.integers(len(jumps)))]
+        return (lev_lo + lev_hi) / 2
     return P_GRID[int(rng.integers(len(P_GRID)))]
 
 

@@ -587,6 +587,28 @@ def test_repeated_main_calls_print_what_fresh_calls_print(spec_file, tmp_path, c
     assert out.read_text(encoding="utf-8") == fresh_curve
 
 
+@pytest.mark.parametrize("module", ["mixquant", "mixquant.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path, capsys):
+    # Both module forms print what main prints, and exit with its code.
+    runs = [
+        (["verify", "--count", "5", "--seed", "1"], 0),
+        (["--format", "machine", "verify", "--count", "5", "--seed", "1"], 0),
+        (["quantile", "--spec", str(tmp_path / "missing.json"), "--p", "0.5"], 2),
+    ]
+    for argv, code in runs:
+        run = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert (run.returncode, run.stdout, run.stderr) == (code, captured.out, captured.err)
+        assert run.stdout or run.stderr
+
+
 def test_bad_usage_exits_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

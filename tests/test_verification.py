@@ -7,11 +7,20 @@ import math
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from mixquant import verification
 from mixquant.classify import CaseLabel
-from mixquant.distributions import DomainError, Exponential, LogNormal, Normal, Piecewise, Uniform
+from mixquant.distributions import (
+    FLOAT_TOL,
+    DomainError,
+    Exponential,
+    LogNormal,
+    Normal,
+    Piecewise,
+    Uniform,
+)
 from mixquant.mixture import MixtureSpec, numeric_quantile
 from mixquant.serialization import exact_number_to_string, serialize_mixture
 from mixquant.split import QuantileSolution
@@ -113,6 +122,85 @@ def test_grid_config_from_mixture_rejects_a_support_beyond_the_float_range():
         assert report.passed and report.s_p == 1
 
 
+def _dense_cdf_grid(d, xs):
+    """A piecewise CDF with every feature evaluated on every grid point."""
+    out = np.zeros_like(xs)
+    for loc, mass in d.atoms:
+        out += float(mass) * (xs >= float(loc))
+    for left, right, rise in d.segments:
+        left_f, right_f = float(left), float(right)
+        out += float(rise) * np.clip((xs - left_f) / (right_f - left_f), 0.0, 1.0)
+    return out
+
+
+def _assert_sliced_grid_is_dense(m, cfg, levels):
+    # Bitwise-equal component arrays, and the same grid answer (or the same
+    # refusal) at every level.
+    xs = np.linspace(cfg.lo, cfg.hi, cfg.steps)
+    for comp in (m.x, m.y):
+        assert verification._cdf_grid(comp, xs).tobytes() == _dense_cdf_grid(comp, xs).tobytes()
+    q = float(m.q)
+    fs = q * _dense_cdf_grid(m.x, xs) + (1.0 - q) * _dense_cdf_grid(m.y, xs)
+    for p in levels:
+        hits = fs >= float(p) - FLOAT_TOL
+        if hits.any():
+            assert grid_oracle_quantile(m, p, cfg) == float(xs[int(np.argmax(hits))])
+        else:
+            with pytest.raises(ArithmeticError):
+                grid_oracle_quantile(m, p, cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+def test_sliced_grid_cdf_equals_the_dense_scan_on_generated_instances(seed):
+    cfg = InstanceGenConfig(seed=seed)
+    for index in range(300):
+        m, p = generate_instance(cfg, index)
+        grid = GridOracleConfig.from_mixture(m, steps=10_001)
+        _assert_sliced_grid_is_dense(m, grid, [p, F(1, 3), F(19, 20)])
+
+
+def test_sliced_grid_cdf_equals_the_dense_scan_on_a_wide_component():
+    # 200 adjacent unit segments with an atom on every third segment end,
+    # against the same shape offset by 1/3.
+    def wide(offset):
+        atoms = [(k + offset, 1) for k in range(0, 201, 3)]
+        segments = [(k + offset, k + 1 + offset, 2) for k in range(200)]
+        total = len(atoms) + 2 * len(segments)
+        return Piecewise(
+            [(loc, F(w, total)) for loc, w in atoms],
+            [(left, right, F(w, total)) for left, right, w in segments],
+        )
+
+    m = MixtureSpec(F(1, 3), wide(0), wide(F(1, 3)))
+    levels = [F(k, 97) for k in range(1, 97)]
+    _assert_sliced_grid_is_dense(m, GridOracleConfig.from_mixture(m, steps=10_001), levels)
+    # A grid whose points fall on every segment end of the first component.
+    _assert_sliced_grid_is_dense(m, GridOracleConfig(-1.0, 201.0, 203), levels)
+
+
+def test_sliced_grid_cdf_equals_the_dense_scan_on_grid_points_and_outside_the_grid():
+    cfg = GridOracleConfig(-1.0, 2.0, 301)
+    xs = np.linspace(cfg.lo, cfg.hi, cfg.steps)
+    on = [F(float(xs[j])) for j in (0, 7, 100, 150, 151, 300)]
+    # Atoms and segment ends exactly on grid points, including both grid ends.
+    on_grid = Piecewise(
+        [(on[0], F(1, 8)), (on[2], F(1, 8)), (on[5], F(1, 8))],
+        [(on[1], on[2], F(1, 4)), (on[3], on[4], F(1, 8)), (on[4], on[5], F(1, 4))],
+    )
+    # Features wholly below, wholly above and straddling each end of the grid.
+    outside = Piecewise(
+        [(-3, F(1, 8)), (5, F(1, 8)), (F(-1, 2), F(1, 8))],
+        [(-4, -2, F(1, 8)), (-2, F(1, 2), F(1, 4)), (F(3, 2), 4, F(1, 8)), (6, 7, F(1, 8))],
+    )
+    levels = [F(k, 20) for k in range(1, 20)]
+    for m in (
+        MixtureSpec(F(1, 2), on_grid, outside),
+        MixtureSpec(F(1, 4), outside, on_grid),
+        MixtureSpec(F(3, 5), outside, outside),
+    ):
+        _assert_sliced_grid_is_dense(m, cfg, levels)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle
 # ---------------------------------------------------------------------------
@@ -165,17 +253,20 @@ def test_generate_instance_is_deterministic():
 
 
 def test_generated_instances_are_stable_across_versions():
-    # The first 200 instances at one seed, as mixture documents plus levels;
-    # any change to what the generator draws or builds moves this digest.
-    digest = hashlib.sha256()
-    cfg = InstanceGenConfig(seed=20240811)
-    for index in range(200):
-        m, p = generate_instance(cfg, index)
-        doc = [serialize_mixture(m), exact_number_to_string(p)]
-        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
-    assert digest.hexdigest() == (
-        "1ef6dd376f43b0eb50db1dd83d67d1a560908a9095bdf1535bec073a4c3c55a6"
-    )
+    # The first instances at a seed, as mixture documents plus levels; any
+    # change to what the generator draws or builds moves these digests.
+    pinned = {
+        (20240811, 200): "1ef6dd376f43b0eb50db1dd83d67d1a560908a9095bdf1535bec073a4c3c55a6",
+        (7919, 2000): "19439b7483683e098bbeb29cc3391f4aa9478640a13126105e6295fdc7535519",
+    }
+    for (seed, count), expected in pinned.items():
+        digest = hashlib.sha256()
+        cfg = InstanceGenConfig(seed=seed)
+        for index in range(count):
+            m, p = generate_instance(cfg, index)
+            doc = [serialize_mixture(m), exact_number_to_string(p)]
+            digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == expected, f"seed {seed}, {count} instances"
 
 
 def test_generated_levels_and_weights_stay_in_range():
