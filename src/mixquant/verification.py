@@ -101,11 +101,11 @@ def _cdf_grid(d: Distribution, xs: np.ndarray) -> np.ndarray:
         for loc, mass in d.atoms:
             out[np.searchsorted(xs, float(loc)):] += float(mass)
         for left, right, rise in d.segments:
-            left_f, right_f = float(left), float(right)
+            left_f, right_f, rise_f = float(left), float(right), float(rise)
             i = np.searchsorted(xs, left_f, side="right")
             k = np.searchsorted(xs, right_f)
-            out[i:k] += float(rise) * np.clip((xs[i:k] - left_f) / (right_f - left_f), 0.0, 1.0)
-            out[k:] += float(rise)
+            out[i:k] += rise_f * np.clip((xs[i:k] - left_f) / (right_f - left_f), 0.0, 1.0)
+            out[k:] += rise_f
         return out
     if isinstance(d, Uniform):
         return np.clip((xs - d.a) / (d.b - d.a), 0.0, 1.0)
@@ -186,8 +186,8 @@ def _random_component(rng: np.random.Generator) -> Piecewise:
 
     Positions are worked out as integers in eighths and become ``Fraction``s
     only once chosen.  Segments occupy distinct unit cells so interiors never
-    overlap; their widths are even in eighths, so midpoints stay on the
-    lattice.  Atoms favor segment endpoints and midpoints, which is what
+    overlap; their widths are even in eighths, so midpoints are whole eighths
+    too.  Atoms favor segment endpoints and midpoints, which is what
     produces the jump-with-mass-below and jump-inside-plateau geometries.
     """
     cells = [int(c) - 2 for c in rng.permutation(5)]

@@ -137,10 +137,11 @@ def _assert_sliced_grid_is_dense(m, cfg, levels):
     # Bitwise-equal component arrays, and the same grid answer (or the same
     # refusal) at every level.
     xs = np.linspace(cfg.lo, cfg.hi, cfg.steps)
-    for comp in (m.x, m.y):
-        assert verification._cdf_grid(comp, xs).tobytes() == _dense_cdf_grid(comp, xs).tobytes()
+    dense = [_dense_cdf_grid(comp, xs) for comp in (m.x, m.y)]
+    for comp, expected in zip((m.x, m.y), dense):
+        assert verification._cdf_grid(comp, xs).tobytes() == expected.tobytes()
     q = float(m.q)
-    fs = q * _dense_cdf_grid(m.x, xs) + (1.0 - q) * _dense_cdf_grid(m.y, xs)
+    fs = q * dense[0] + (1.0 - q) * dense[1]
     for p in levels:
         hits = fs >= float(p) - FLOAT_TOL
         if hits.any():
