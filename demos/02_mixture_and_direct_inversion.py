@@ -5,7 +5,6 @@ the convex combination q*F + (1-q)*G.  For exact piecewise components the
 mixture CDF is itself piecewise: one walk over the components' quantile
 pieces gives the mixture's own, and direct inversion bisects those.  That
 direct route is the reference the split solver is checked against.
-merged_distribution builds the same mixture as a single Piecewise.
 """
 
 from fractions import Fraction as F
@@ -15,7 +14,6 @@ from mixquant import (
     Normal,
     Piecewise,
     direct_quantile,
-    merged_distribution,
     mixture_cdf,
     mixture_cdf_left_limit,
     numeric_quantile,
@@ -34,24 +32,18 @@ for p in (F(1, 10), F(1, 4), F(1, 2), F(9, 10)):
     print(f"  Q_S({p}) = {direct_quantile(m, p)}")
 assert direct_quantile(m, F(1, 4)) == F(1, 2)
 
-# mixing adds masses feature by feature; coincident atoms combine
+# mixing adds masses feature by feature; coincident atoms combine into one
+# quantile piece (lev_lo, lev_hi, x_left, x_right) with x_left == x_right
 sharing = MixtureSpec(
     F(1, 2),
     Piecewise(atoms=[(0, 1)]),
     Piecewise(atoms=[(0, F(1, 4)), (1, F(3, 4))]),
 )
-merged = merged_distribution(sharing)
-print()
-print(f"merged atoms when both components charge 0: {merged.atoms}")
-assert dict(merged.atoms)[0] == F(1, 2) + F(1, 8)
-
-# the walked pieces (lev_lo, lev_hi, x_left, x_right) are the merged ones
 pieces, _ = sharing.pieces
-print(f"the mixture's quantile pieces: {[tuple(map(str, piece)) for piece in pieces]}")
-assert pieces == tuple(
-    (piece.lev_lo, piece.lev_hi, piece.x_left, piece.x_right)
-    for piece in merged.quantile_pieces()
-)
+print()
+print(f"quantile pieces when both components charge 0: {[tuple(map(str, piece)) for piece in pieces]}")
+# the atom at 0 holds 1/2 * 1 + 1/2 * 1/4 = 5/8 of the mass, the atom at 1 the rest
+assert pieces == ((0, F(5, 8), 0, 0), (F(5, 8), 1, 1, 1))
 
 # a shared atom also shows up in the left limit
 assert mixture_cdf(sharing, 0) - mixture_cdf_left_limit(sharing, 0) == F(5, 8)

@@ -81,10 +81,10 @@ class MixtureSpec:
     def pieces(self) -> tuple[tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...], array]:
         """The mixture CDF's quantile pieces and a float copy of their top levels.
 
-        Each piece is ``(lev_lo, lev_hi, x_left, x_right)``, the fields of the
-        merged distribution's ``QuantilePiece`` but its slope; the floats are
-        the ``_find_cut`` cuts of the ``lev_hi`` column.  Walked on first use
-        (``_walk_pieces``) and then reused.
+        Each piece ``(lev_lo, lev_hi, x_left, x_right)`` is one affine stretch
+        of the inverse of q*F + (1-q)*G, an atom when x_left == x_right; the
+        floats are the ``_find_cut`` cuts of the ``lev_hi`` column.  Walked on
+        first use (``_walk_pieces``) and then reused.
         """
         if not self.is_exact:
             raise ValueError("the mixture's quantile pieces need two piecewise components")
@@ -108,61 +108,34 @@ def mixture_cdf_left_limit(m: MixtureSpec, x: RealLike) -> ExtendedReal:
 def merged_distribution(m: MixtureSpec) -> Piecewise:
     """The mixture of two piecewise components as a single exact ``Piecewise``.
 
-    Coincident atoms merge into one atom with the scaled masses summed, and
-    overlapping segments are split on each other's endpoints so the result
-    satisfies the disjoint-interior invariant.
-
-    Each component's atoms and segment endpoints are already sorted, so the
-    result comes from linear merges of those sorted runs, with no sort and
-    no set: with n and m features this costs O(n+m).  Between consecutive
-    endpoints at most one segment of each component is active, because a
-    component's segments have disjoint interiors.  The result is rebuilt on
-    every call.  No query path builds it: direct inversion and the instance
-    generator read the same pieces from ``MixtureSpec.pieces``.
+    Read from ``m.pieces``, which the query paths use directly: each constant
+    piece is an atom, and consecutive stretches join into one segment unless
+    the x they share ends a segment of either component.  Kept because
+    ``perfbench``'s tracer names it.
     """
     if not m.is_exact:
         raise ValueError("merged_distribution needs two piecewise components")
     if m.lone is not None:
         return Piecewise(m.lone.atoms, m.lone.segments)
-    weighted = ((m.q, m.x), (1 - m.q, m.y))
-
-    atoms: list[tuple[Fraction, Fraction]] = []
-    runs = ([(loc, weight * mass) for loc, mass in comp.atoms] for weight, comp in weighted)
-    for loc, mass in heapq.merge(*runs, key=_FIRST):
-        if atoms and atoms[-1][0] == loc:
-            atoms[-1] = (loc, atoms[-1][1] + mass)
+    ends = {end for comp in (m.x, m.y) for left, right, _ in comp.segments for end in (left, right)}
+    atoms, segments = [], []
+    for lev_lo, lev_hi, x_left, x_right in m.pieces[0]:
+        if x_left == x_right:
+            atoms.append((x_left, lev_hi - lev_lo))
+        elif segments and segments[-1][1] == x_left and x_left not in ends:
+            left, _, rise = segments[-1]
+            segments[-1] = (left, x_right, rise + (lev_hi - lev_lo))
         else:
-            atoms.append((loc, mass))
-
-    # Every segment end as (x, side, that side's density from x on), in x
-    # order per side.  heapq.merge is stable, so where one segment ends and
-    # the next begins, the next one's density is read last.  Only a step to
-    # a new x closes a segment, so a cut that repeats adds none.
-    steps = []
-    for side, (weight, comp) in enumerate(weighted):
-        run = []
-        for left, right, rise in comp.segments:
-            run += ((left, side, weight * rise / (right - left)), (right, side, _ZERO))
-        steps.append(run)
-    segments = []
-    active = [_ZERO, _ZERO]
-    lo, density = None, _ZERO
-    for at, side, step in heapq.merge(*steps, key=_FIRST):
-        if density and at != lo:
-            segments.append((lo, at, density * (at - lo)))
-        active[side] = step
-        lo = at
-        x_density, y_density = active
-        density = x_density + y_density if x_density and y_density else x_density or y_density
+            segments.append((x_left, x_right, lev_hi - lev_lo))
     return Piecewise(atoms, segments)
 
 
 def _walk_pieces(m: MixtureSpec):
     """The quantile pieces of q*F + (1-q)*G, from one walk over the components' own.
 
-    Yields ``(lev_lo, lev_hi, x_left, x_right)`` in level order: the pieces
-    of ``merged_distribution(m)``, without building it.  Each component
-    piece becomes events ``(x, side, value)``, merged by x: a segment piece
+    Yields ``(lev_lo, lev_hi, x_left, x_right)`` in level order, the pieces
+    of the inverse of the mixture CDF q*F + (1-q)*G.  Each component piece
+    becomes events ``(x, side, value)``, merged by x: a segment piece
     sets its side's density ``weight / slope`` at its left end and clears it
     at its right end, and an atom piece (side None) adds the mass
     ``weight * (lev_hi - lev_lo)`` at its point.  Only a move to a new x

@@ -20,11 +20,13 @@ formula still returns the correct quantile.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .distributions import (
+    LEVEL_ROUNDING,
     DomainError,
     ExtendedReal,
     Piecewise,
@@ -33,7 +35,7 @@ from .distributions import (
     as_fraction,
     close,
 )
-from .mixture import MixtureSpec, _checked_level, bisect_float
+from .mixture import MixtureSpec, _checked_level, bisect_float, mixture_cdf
 
 __all__ = [
     "QuantileSolution",
@@ -45,6 +47,8 @@ __all__ = [
 
 #: Bisection stops once the bracket on alpha is narrower than this.
 BISECTION_WIDTH = 1e-14
+#: Most float steps up that a float route's ``s_p`` takes to reach p.
+_MAX_ULP_STEPS = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,7 +134,23 @@ def split_quantile(m: MixtureSpec, p: RealLike) -> QuantileSolution:
     # An absolute bound: a true gap short of s_p is no rounding, at any scale.
     x_attains = close(qx, s_p, m.is_exact, relative=False)
     y_attains = close(qy, s_p, m.is_exact, relative=False)
+    if not m.is_exact:
+        s_p = _reach_level(m, p, s_p)
     return QuantileSolution(s_p, alpha, beta, x_attains, y_attains, clamped)
+
+
+def _reach_level(m: MixtureSpec, p: Fraction, s_p: ExtendedReal) -> ExtendedReal:
+    """A float route's ``s_p``, stepped up float by float while F_S(s_p) < p.
+
+    The float bisection can end one float short of the crossing; at most
+    ``_MAX_ULP_STEPS`` steps mend that.  F_S may fall short of p by
+    ``LEVEL_ROUNDING``, and a non-finite ``s_p`` is left as it is.
+    """
+    for _ in range(_MAX_ULP_STEPS):
+        if not math.isfinite(s_p) or mixture_cdf(m, s_p) >= p - LEVEL_ROUNDING:
+            break
+        s_p = math.nextafter(s_p, math.inf)
+    return s_p
 
 
 def _solve_split(m: MixtureSpec, p: Fraction):

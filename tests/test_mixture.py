@@ -11,13 +11,21 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixquant.distributions import DomainError, Exponential, Normal, Piecewise, Uniform
+from mixquant.distributions import (
+    DomainError,
+    Exponential,
+    LogNormal,
+    Normal,
+    Piecewise,
+    Uniform,
+)
 from mixquant.mixture import (
     MixtureSpec,
     direct_quantile,
@@ -202,6 +210,38 @@ def test_merged_handles_coincident_features():
     assert merged.cdf(3) == 1
     # atom masses add across components
     assert dict(merged.atoms)[F(0)] == F(1, 2) * F(1, 2) + F(1, 2) * F(1, 4)
+    for x, y, q, want in JOIN_CASES:
+        for mm in (MixtureSpec(q, x, y), MixtureSpec(1 - q, y, x)):
+            merged = merged_distribution(mm)
+            assert (merged.atoms, merged.segments) == want, mm
+            assert want == ref_merged(mm), mm
+
+
+_ATOM_INSIDE = Piecewise(atoms=[(1, F(1, 2))], segments=[(0, 2, F(1, 2))])
+
+#: ``(x, y, q, (atoms, segments))``: where stretches of the mixture meet at an
+#: x, they stay one segment unless a segment of either component ends there.
+JOIN_CASES = [
+    # A Y atom strictly inside an X segment: one segment.
+    (Piecewise.uniform(0, 2), Piecewise.point_mass(1), F(1, 2), (((1, F(1, 2)),), ((0, 2, F(1, 2)),))),
+    # Two touching X segments of equal density, a Y atom at the touch: two.
+    (
+        Piecewise(segments=[(0, 1, F(1, 2)), (1, 2, F(1, 2))]),
+        Piecewise.point_mass(1),
+        F(1, 2),
+        (((1, F(1, 2)),), ((0, 1, F(1, 4)), (1, 2, F(1, 4)))),
+    ),
+    # Y segment ends inside an X segment, one where Y's density does not
+    # change: split at each.
+    (
+        Piecewise.uniform(0, 4),
+        Piecewise(segments=[(1, 2, F(1, 2)), (2, 3, F(1, 2))]),
+        F(1, 2),
+        ((), ((0, 1, F(1, 8)), (1, 2, F(3, 8)), (2, 3, F(3, 8)), (3, 4, F(1, 8)))),
+    ),
+    # A lone component with an interior atom where the other's segment ends.
+    (_ATOM_INSIDE, Piecewise.uniform(1, 3), F(1), (_ATOM_INSIDE.atoms, _ATOM_INSIDE.segments)),
+]
 
 
 Q_GRID = [F(0), F(1, 4), F(1, 3), F(1, 2), F(4, 5), F(1)]
@@ -244,8 +284,14 @@ def test_merged_requires_piecewise_pair():
 
 
 # ---------------------------------------------------------------------------
-# the walked quantile pieces vs. the merged distribution
+# the walked quantile pieces vs. the reference merge
 # ---------------------------------------------------------------------------
+
+
+def _reference_merge(m):
+    """``ref_merged``'s tuples as the ``atoms``/``segments`` ``ref_quantile`` reads."""
+    atoms, segments = ref_merged(m)
+    return SimpleNamespace(atoms=atoms, segments=segments)
 
 
 def _wide_pairs():
@@ -288,10 +334,10 @@ WALK_CASES = {
 def test_walked_pieces_equal_the_merged_pieces(name):
     for m in WALK_CASES[name]():
         for mm in (m, m.swapped()):
-            merged = merged_distribution(mm)
+            reference = _reference_merge(mm)
             expected = tuple(
                 (piece.lev_lo, piece.lev_hi, piece.x_left, piece.x_right)
-                for piece in merged.quantile_pieces()
+                for piece in Piecewise(reference.atoms, reference.segments).quantile_pieces()
             )
             pieces, cuts = mm.pieces
             assert pieces == expected, mm
@@ -299,7 +345,7 @@ def test_walked_pieces_equal_the_merged_pieces(name):
             probes = {lev_hi for _, lev_hi, _, _ in pieces[:-1]}
             probes |= {(lev_lo + lev_hi) / 2 for lev_lo, lev_hi, _, _ in pieces}
             for p in sorted(probes):
-                assert direct_quantile(mm, p) == ref_quantile(merged, p), (mm, p)
+                assert direct_quantile(mm, p) == ref_quantile(reference, p), (mm, p)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +389,7 @@ def test_direct_quantile_matches_reference_merge(x, y, q, p):
     if p == 1:
         p = F(999, 1000)
     m = MixtureSpec(q, x, y)
-    assert direct_quantile(m, p) == ref_quantile(merged_distribution(m), p)
+    assert direct_quantile(m, p) == ref_quantile(_reference_merge(m), p)
 
 
 def test_numeric_quantile_on_parametric_pair():
@@ -376,6 +422,33 @@ def test_numeric_quantile_stops_when_the_midpoint_rounds_onto_an_end():
     assert 1e9 - 2.0 < s < 1e9 + 1.0
     assert mixture_cdf_float(s) >= 0.3
     assert mixture_cdf_float(math.nextafter(s, -math.inf)) < 0.3
+
+
+STOP_WIDTH_PAIRS = [
+    (F(1, 2), Normal(0, 1), Normal(1, 2)),
+    (F(1, 3), Normal(-2, 0.5), Exponential(1.5)),
+    (F(3, 4), Exponential(0.5), Uniform(-1, 3)),
+    (F(2, 5), LogNormal(0, 1), Uniform(0.5, 2)),
+    (F(1, 4), LogNormal(0.5, 0.25), Normal(2, 1)),
+    (F(3, 5), Uniform(0, 1), Uniform(0.5, 4)),
+]
+
+
+@pytest.mark.parametrize("q, x, y", STOP_WIDTH_PAIRS)
+def test_numeric_quantile_stops_at_its_bisection_width(q, x, y):
+    # The bracket ends no wider than 1e-12 around the crossing, so one width
+    # below the answer the mixture still falls short of p.  The width is a
+    # literal here, so a coarser DIRECT_BISECTION_TOL fails this test.
+    m = MixtureSpec(q, x, y)
+
+    def reached(t, p):
+        return float(q) * x.cdf(t) + (1 - float(q)) * y.cdf(t) >= p
+
+    for k in range(1, 20):
+        p = k / 20
+        s = numeric_quantile(m, F(k, 20))
+        assert reached(s, p), (k, s)
+        assert not reached(s - 1e-12, p), (k, s)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mixquant.classify import classify
 from mixquant.distributions import (
+    LEVEL_ROUNDING,
     DomainError,
     Exponential,
     LogNormal,
@@ -19,8 +20,10 @@ from mixquant.distributions import (
     Uniform,
     close,
 )
-from mixquant.mixture import MixtureSpec, direct_quantile, merged_distribution
+from mixquant.mixture import MixtureSpec, direct_quantile, merged_distribution, mixture_cdf
 from mixquant.split import (
+    _MAX_ULP_STEPS,
+    _reach_level,
     _solve_split,
     feasible_alpha_range,
     ordering_predicate,
@@ -429,6 +432,50 @@ def test_numeric_split_stops_before_beta_rounds_to_one():
         s_p = split_quantile(mm, F(19, 20)).s_p
         assert math.isfinite(s_p)
         assert close(s_p, direct_quantile(mm, F(19, 20)), False)
+
+
+def _first_float_reaching(m, p, s):
+    """Whether float F_S reaches p up to rounding at s and not one float below."""
+    return mixture_cdf(m, s) >= p - LEVEL_ROUNDING > mixture_cdf(m, math.nextafter(s, -math.inf))
+
+
+def test_numeric_split_steps_up_onto_the_level():
+    # The float bisection ends one float below the crossing here, where
+    # F_S(s_p) < p; s_p is stepped up to the first float reaching p.
+    m = MixtureSpec(
+        F(3, 4),
+        Normal(240533.4791686431, 0.8569060529958514),
+        Normal(240530.81545801306, 1.594316653774451),
+    )
+    p = F(61, 100)
+    for mm in (m, m.swapped()):
+        assert _first_float_reaching(mm, p, split_quantile(mm, p).s_p)
+
+
+def test_numeric_split_judges_attainment_before_the_step():
+    # At |s_p| near 3.4e9 one float step is about 4.8e-7, beyond the 1e-9
+    # attainment bound, yet both component quantiles meet the unstepped max.
+    m = MixtureSpec(
+        F(3, 4),
+        Normal(3432809240.595879, 1.39341248858327),
+        Normal(3432809243.8744884, 0.7696928901624054),
+    )
+    p = F(19, 25)
+    sol = split_quantile(m, p)
+    assert _first_float_reaching(m, p, sol.s_p)
+    assert sol.x_attains and sol.y_attains
+
+
+def test_numeric_split_steps_a_bounded_number_of_floats():
+    m = MixtureSpec(F(1, 2), Normal(0, 1), Normal(1, 2))
+    p = F(1, 2)
+    # F_S(-1) is about 0.16, far short of p: the step-up gives up at its cap.
+    stepped = -1.0
+    for _ in range(_MAX_ULP_STEPS):
+        stepped = math.nextafter(stepped, math.inf)
+    assert _reach_level(m, p, -1.0) == stepped
+    for end in (-math.inf, math.inf):
+        assert _reach_level(m, p, end) == end
 
 
 def test_split_on_uniform_pair_matches_exact_twin():
