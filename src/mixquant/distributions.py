@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 from statistics import NormalDist
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
     "NEG_INF",
@@ -96,13 +96,13 @@ def close(a: ExtendedReal, b: ExtendedReal, exact: bool, tol=FLOAT_TOL, relative
         return False
 
 
-@dataclass(frozen=True, slots=True)
-class QuantilePiece:
-    """One stretch of a generalized inverse.
+class QuantilePiece(NamedTuple):
+    """One stretch of a generalized inverse, as a named tuple.
 
     Maps levels in ``(lev_lo, lev_hi]`` affinely onto ``[x_left, x_right]``
     with ``slope = (x_right - x_left)/(lev_hi - lev_lo)``.  Atoms appear as
-    constant pieces with ``x_left == x_right`` and slope 0.
+    constant pieces with ``x_left == x_right`` and slope 0.  Being a tuple,
+    a piece is immutable and hashable and unpacks in field order.
     """
 
     lev_lo: Fraction
@@ -120,9 +120,9 @@ class QuantilePiece:
 _ZERO = Fraction(0)
 _X_LEFT = attrgetter("x_left")
 _LEV_HI = attrgetter("lev_hi")
-# Valid atoms and segments differ in their first entry, so sorting by it alone
-# gives the order of the whole tuples without testing each pair for equality.
-_FIRST = itemgetter(0)
+# Sort key of rows ``(float key, exact value, ...)``: the exact value is read
+# only where the floats tie, and the sort is stable, as by the exact value.
+_FLOAT_THEN_EXACT = itemgetter(0, 1)
 
 
 def _float_key(value: Fraction) -> float:
@@ -202,7 +202,8 @@ class Piecewise(Distribution):
     atoms and segments builds the pieces and checks the arguments.  Float
     copies of the two sorted cut columns, ``lev_hi`` and ``x_left``, let
     every bisection decide in float and compare ``Fraction`` keys only where
-    the floats tie (``_find_cut``).
+    the floats tie (``_find_cut``).  The build sorts and checks the same way,
+    on the floats of the positions, which then fill ``_x_lefts``.
     """
 
     is_exact = True
@@ -214,60 +215,79 @@ class Piecewise(Distribution):
         atoms: Iterable[tuple[RealLike, RealLike]] = (),
         segments: Iterable[tuple[RealLike, RealLike, RealLike]] = (),
     ) -> None:
+        # Rows lead with the float of each position they are ordered by, so
+        # sorting and every order check below decide in float and compare
+        # ``Fraction``s only where the floats tie (``_float_key`` is monotone).
+        atom_rows = []
+        for loc, mass in atoms:
+            loc = as_fraction(loc)
+            atom_rows.append((_float_key(loc), loc, as_fraction(mass)))
+        atom_rows.sort(key=_FLOAT_THEN_EXACT)
+        seg_rows = []
+        for left, right, rise in segments:
+            left, right = as_fraction(left), as_fraction(right)
+            seg_rows.append((_float_key(left), left, _float_key(right), right, as_fraction(rise)))
+        seg_rows.sort(key=_FLOAT_THEN_EXACT)
         self.atoms: tuple[tuple[Fraction, Fraction], ...] = tuple(
-            sorted(((as_fraction(a), as_fraction(m)) for a, m in atoms), key=_FIRST)
+            [(loc, mass) for _, loc, mass in atom_rows]
         )
         self.segments: tuple[tuple[Fraction, Fraction, Fraction], ...] = tuple(
-            sorted(
-                ((as_fraction(l), as_fraction(r), as_fraction(h)) for l, r, h in segments),
-                key=_FIRST,
-            )
+            [(left, right, rise) for _, left, _, right, rise in seg_rows]
         )
         # Each segment takes the atoms below its right end: those at or
         # before its left end come first, and each one strictly inside splits
         # it.  So at a shared point the stretch ending there comes first, then
         # the atom, then the stretch starting there.  The final None takes
-        # the atoms past the last segment.
+        # the atoms past the last segment.  ``fx`` is the float of ``x``, the
+        # left end of the stretch being built, and fills ``_x_lefts``.
         pieces: list[QuantilePiece] = []
+        x_lefts = array("d")
         cum = _ZERO
-        atoms, i = self.atoms, 0
-        prev_loc = prev_right = None
-        for seg in (*self.segments, None):
+        i, n_atoms = 0, len(atom_rows)
+        prev_loc = f_prev_loc = prev_right = None
+        for seg in (*seg_rows, None):
             if seg is not None:
-                left, right, rise = seg
-                if not left < right:
+                f_left, left, f_right, right, rise = seg
+                if not (f_left < f_right or f_left == f_right and left < right):
                     raise ValueError(f"segment [{left}, {right}] must have left < right")
-                if rise <= 0:
+                if rise.numerator <= 0:
                     raise ValueError(f"segment rise over [{left}, {right}] must be positive")
-                if prev_right is not None and prev_right > left:
+                if prev_right is not None and (
+                    f_prev_right > f_left or f_prev_right == f_left and prev_right > left
+                ):
                     raise ValueError("segment interiors must be pairwise disjoint")
-                prev_right = right
-                x, rest, slope = left, rise, (right - left) / rise
-            while i < len(atoms) and (seg is None or atoms[i][0] < right):
-                loc, mass = atoms[i]
+                prev_right, f_prev_right = right, f_right
+                x, fx, rest, slope = left, f_left, rise, (right - left) / rise
+            while i < n_atoms:
+                f_loc, loc, mass = atom_rows[i]
+                if seg is not None and not (f_loc < f_right or f_loc == f_right and loc < right):
+                    break
                 i += 1
-                if mass <= 0:
+                if mass.numerator <= 0:
                     raise ValueError(f"atom mass at {loc} must be positive, got {mass}")
-                if loc == prev_loc:
+                if f_loc == f_prev_loc and loc == prev_loc:
                     raise ValueError(f"duplicate atom location {loc}")
-                prev_loc = loc
-                if seg is not None and loc > x:
+                prev_loc, f_prev_loc = loc, f_loc
+                if seg is not None and (f_loc > fx or f_loc == fx and loc > x):
                     part = (loc - x) / slope
                     top = cum + part
                     pieces.append(QuantilePiece(cum, top, x, loc, slope))
-                    cum, rest, x = top, rest - part, loc
+                    x_lefts.append(fx)
+                    cum, rest, x, fx = top, rest - part, loc, f_loc
                 top = cum + mass
                 pieces.append(QuantilePiece(cum, top, loc, loc, _ZERO))
+                x_lefts.append(f_loc)
                 cum = top
             if seg is not None:
                 top = cum + rest
                 pieces.append(QuantilePiece(cum, top, x, right, slope))
+                x_lefts.append(fx)
                 cum = top
         if cum != 1:
             raise ValueError(f"atom masses plus segment rises must equal 1, got {cum}")
         self._pieces = tuple(pieces)
         self._lev_his = array("d", [_float_key(piece.lev_hi) for piece in pieces])
-        self._x_lefts = array("d", [_float_key(piece.x_left) for piece in pieces])
+        self._x_lefts = x_lefts
 
     # -- construction helpers -------------------------------------------------
 

@@ -10,7 +10,6 @@ crossing of the level p is bracketed and bisected in floating point.
 from __future__ import annotations
 
 import bisect
-import heapq
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .distributions import (
     ExtendedReal,
     Piecewise,
     RealLike,
+    _FLOAT_THEN_EXACT,
     _find_cut,
     _float_key,
     as_fraction,
@@ -44,7 +44,7 @@ __all__ = [
 DIRECT_BISECTION_TOL = 1e-12
 
 _ZERO = Fraction(0)
-_FIRST = itemgetter(0)
+_FLOAT = itemgetter(0)
 _LEV_HI = itemgetter(1)
 
 
@@ -135,47 +135,67 @@ def _walk_pieces(m: MixtureSpec):
 
     Yields ``(lev_lo, lev_hi, x_left, x_right)`` in level order, the pieces
     of the inverse of the mixture CDF q*F + (1-q)*G.  Each component piece
-    becomes events ``(x, side, value)``, merged by x: a segment piece
-    sets its side's density ``weight / slope`` at its left end and clears it
-    at its right end, and an atom piece (side None) adds the mass
-    ``weight * (lev_hi - lev_lo)`` at its point.  Only a move to a new x
-    closes the atom pending at the old one and then the stretch from it, so
-    coincident atoms of both sides become one piece.  Within a side a piece
-    ending at x precedes the one starting there, so the densities are those
-    right of x once every event at x is read.  A side of weight 0 is left out.
+    becomes events ``(float x, x, side, value)``: a segment piece sets its
+    side's density ``weight / slope`` at its left end and clears it at its
+    right end, and an atom piece (side None) adds the mass
+    ``weight * (lev_hi - lev_lo)`` at its point.  One stable sort orders the
+    events by the float of x, and by the exact x too when the two sides
+    share a float.  Within a side a piece ending at x precedes the one
+    starting there, so the densities are those right of x once every event
+    at x is read.  Only a move to a new x, read from the floats and, where
+    they tie, from the exact x, closes the atom pending at the old one and
+    then the stretch from it, so coincident atoms of both sides become one
+    piece.  A side of weight 0 is left out.
     """
     runs = []
     for side, (weight, comp) in enumerate(((m.q, m.x), (1 - m.q, m.y))):
         if not weight:
             continue
         run = []
-        for piece in comp.quantile_pieces():
-            if piece.slope:
-                run += ((piece.x_left, side, weight / piece.slope), (piece.x_right, side, _ZERO))
+        for (lev_lo, lev_hi, x_left, x_right, slope), f_left in zip(
+            comp.quantile_pieces(), comp._x_lefts
+        ):
+            if slope:
+                run += (
+                    (f_left, x_left, side, weight / slope),
+                    (_float_key(x_right), x_right, side, None),
+                )
             else:
-                run.append((piece.x_left, None, weight * (piece.lev_hi - piece.lev_lo)))
+                run.append((f_left, x_left, None, weight * (lev_hi - lev_lo)))
         runs.append(run)
-    active = [_ZERO, _ZERO]
-    cum = mass = density = _ZERO
-    at = None
-    for x, side, value in heapq.merge(*runs, key=_FIRST):
-        if x != at:
-            if mass:
+    events = [event for run in runs for event in run]
+    # Each run is in exact order already and the sort is stable, so the
+    # floats alone misorder events only where the two sides' floats meet.
+    tied = len(runs) == 2 and not {event[0] for event in runs[0]}.isdisjoint(
+        [event[0] for event in runs[1]]
+    )
+    events.sort(key=_FLOAT_THEN_EXACT if tied else _FLOAT)
+    # A side's density and the pending mass are None where they are 0.
+    active = [None, None]
+    cum = _ZERO
+    mass = density = f_at = at = None
+    for f_x, x, side, value in events:
+        if f_x != f_at or x is not at and x != at:
+            if mass is not None:
                 top = cum + mass
                 yield cum, top, at, at
-                cum, mass = top, _ZERO
-            if density:
+                cum, mass = top, None
+            if density is not None:
                 top = cum + density * (x - at)
                 yield cum, top, at, x
                 cum = top
-            at = x
+            f_at, at = f_x, x
         if side is None:
-            mass = mass + value if mass else value
+            mass = value if mass is None else mass + value
         else:
             active[side] = value
             x_density, y_density = active
-            density = x_density + y_density if x_density and y_density else x_density or y_density
-    if mass:
+            density = (
+                x_density if y_density is None
+                else y_density if x_density is None
+                else x_density + y_density
+            )
+    if mass is not None:
         yield cum, cum + mass, at, at
 
 

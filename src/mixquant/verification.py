@@ -510,6 +510,8 @@ class SuiteResult:
 
 #: Grid points of the scan oracle in every ``run_suite`` check.
 _SUITE_GRID_STEPS = 10_001
+#: Instances per task sent to a ``run_suite`` worker.
+_SUITE_CHUNK = 64
 
 
 def _suite_task(
@@ -521,15 +523,21 @@ def _suite_task(
 
 
 def run_suite(cfg: InstanceGenConfig, count: int, jobs: int = 1) -> SuiteResult:
-    """Cross-check ``count`` generated instances, reported in index order."""
+    """Cross-check ``count`` generated instances, reported in index order.
+
+    ``jobs > 1`` runs them in a process pool of at most ``jobs`` workers and
+    never more than one per chunk of ``_SUITE_CHUNK`` instances, since the
+    pool starts all its workers at once whether or not they get a chunk.
+    """
     if count < 1:
         raise DomainError(f"instance count must be positive, got {count}")
     task = partial(_suite_task, cfg)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(task, range(count), chunksize=64))
+        workers = min(jobs, -(-count // _SUITE_CHUNK))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(task, range(count), chunksize=_SUITE_CHUNK))
     else:
         rows = list(map(task, range(count)))
     census: Counter = Counter()

@@ -18,6 +18,7 @@ from mixquant.distributions import (
     LogNormal,
     Normal,
     Piecewise,
+    QuantilePiece,
     Uniform,
     as_fraction,
     close,
@@ -109,6 +110,21 @@ def test_quantile_levels_walk_the_pieces():
     assert d.quantile(F(1, 2)) == 0
     assert d.quantile(F(3, 4)) == F(3, 2)
     assert d.quantile(1) == 2
+
+
+def test_quantile_piece_contract():
+    d = Piecewise(atoms=[(0, F(1, 2))], segments=[(1, 3, F(1, 2))])
+    atom, stretch = d.quantile_pieces()
+    assert isinstance(atom, QuantilePiece)
+    with pytest.raises(AttributeError):
+        atom.x_left = F(5)
+    assert hash(stretch) == hash(QuantilePiece(*stretch))
+    assert len({atom, stretch, QuantilePiece(*atom)}) == 2
+    lev_lo, lev_hi, x_left, x_right, slope = stretch
+    assert (lev_lo, lev_hi, x_left, x_right, slope) == (F(1, 2), 1, 1, 3, 4)
+    assert [atom.value_at(p) for p in (F(1, 4), F(1, 2))] == [0, 0]
+    assert [stretch.value_at(p) for p in (F(5, 8), F(3, 4), 1)] == [F(3, 2), 2, 3]
+    assert [d.quantile(p) for p in (F(1, 4), F(1, 2), F(5, 8), F(3, 4), 1)] == [0, 0, F(3, 2), 2, 3]
 
 
 def test_flatness_witnesses():

@@ -70,6 +70,84 @@ FIXTURES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the build's order checks where positions share a float
+# ---------------------------------------------------------------------------
+
+ABOVE_ONE = 1 + TINY_X
+BELOW_ONE = 1 - TINY_X
+
+
+def _spans(d: Piecewise) -> list:
+    """Each piece's ``(x_left, x_right)``, after checking ``_x_lefts`` against them."""
+    pieces = d.quantile_pieces()
+    assert list(d._x_lefts) == [float(piece.x_left) for piece in pieces]
+    return [(piece.x_left, piece.x_right) for piece in pieces]
+
+
+def test_build_accepts_a_segment_within_one_float():
+    assert _spans(Piecewise(segments=[(1, ABOVE_ONE, 1)])) == [(1, ABOVE_ONE)]
+
+
+def test_build_rejects_a_reversed_segment_within_one_float():
+    with pytest.raises(ValueError, match=r"segment \[.*\] must have left < right"):
+        Piecewise(segments=[(ABOVE_ONE, 1, 1)])
+
+
+def test_build_rejects_segments_overlapping_within_one_float():
+    with pytest.raises(ValueError, match="segment interiors must be pairwise disjoint"):
+        Piecewise(segments=[(0, ABOVE_ONE, F(1, 2)), (1, 2, F(1, 2))])
+
+
+@pytest.mark.parametrize("gap", [0, TINY_X], ids=["touching", "gap-within-one-float"])
+def test_build_accepts_segments_meeting_within_one_float(gap):
+    d = Piecewise(segments=[(0, 1, F(1, 2)), (1 + gap, 2, F(1, 2))])
+    assert _spans(d) == [(0, 1), (1 + gap, 2)]
+
+
+def test_build_keeps_atoms_within_one_float():
+    d = Piecewise(atoms=[(1, F(1, 2)), (ABOVE_ONE, F(1, 2))])
+    assert _spans(d) == [(1, 1), (ABOVE_ONE, ABOVE_ONE)]
+
+
+def test_build_rejects_duplicate_atoms():
+    with pytest.raises(ValueError, match="duplicate atom location 1"):
+        Piecewise(atoms=[(1, F(1, 2)), (1, F(1, 2))])
+
+
+def test_atom_within_one_float_inside_a_segment_end_splits_it():
+    d = Piecewise(atoms=[(BELOW_ONE, F(1, 2))], segments=[(0, 1, F(1, 2))])
+    assert _spans(d) == [(0, BELOW_ONE), (BELOW_ONE, BELOW_ONE), (BELOW_ONE, 1)]
+    d = Piecewise(atoms=[(ABOVE_ONE, F(1, 2))], segments=[(1, 2, F(1, 2))])
+    assert _spans(d) == [(1, ABOVE_ONE), (ABOVE_ONE, ABOVE_ONE), (ABOVE_ONE, 2)]
+
+
+def test_atom_on_a_segment_end_does_not_split_it():
+    d = Piecewise(atoms=[(1, F(1, 2))], segments=[(0, 1, F(1, 2))])
+    assert _spans(d) == [(0, 1), (1, 1)]
+    d = Piecewise(atoms=[(1, F(1, 2))], segments=[(1, 2, F(1, 2))])
+    assert _spans(d) == [(1, 1), (1, 2)]
+
+
+def _far_grid() -> Piecewise:
+    """Atoms on ``_far``'s breakpoints and segments between them: the
+    positions beyond the float range share the floats +-inf."""
+    pts = breakpoints(_far())
+    share = F(1, 2 * len(pts) - 1)
+    return Piecewise([(pt, share) for pt in pts], [(a, b, share) for a, b in zip(pts, pts[1:])])
+
+
+@pytest.mark.parametrize("make", [_ties, _far_grid], ids=["ties", "far-grid"])
+def test_unsorted_rows_come_out_in_exact_order(make):
+    d = make()
+    for order in (reversed, lambda rows: random.Random(5).sample(rows, len(rows))):
+        e = Piecewise(order(d.atoms), order(d.segments))
+        assert e.atoms == tuple(sorted(d.atoms)) == d.atoms
+        assert e.segments == tuple(sorted(d.segments)) == d.segments
+        assert e.quantile_pieces() == d.quantile_pieces()
+        assert list(e._x_lefts) == list(d._x_lefts)
+
+
 def _x_probes(d: Piecewise) -> list:
     pts = breakpoints(d)
     probes = set(pts)
