@@ -509,38 +509,35 @@ def test_run_suite_parallel_merge_is_deterministic():
     assert serial.census == parallel.census
 
 
-class _InProcessPool:
-    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and maps
-    in this process, so no worker is started."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
-
-
 def test_run_suite_starts_at_most_one_worker_per_chunk(monkeypatch):
     import concurrent.futures
 
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    sizes = []
+
+    class InProcessPool:
+        """Records ``max_workers`` and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     cfg = InstanceGenConfig(seed=20240811)
     cases = [(100, 8, 2), (64, 4, 1), (65, 2, 2), (129, 3, 3), (129, 2, 2)]
     for count, jobs, _ in cases:
         result = run_suite(cfg, count=count, jobs=jobs)
         assert result.count == len(result.lines) == count
-    assert _InProcessPool.sizes == [workers for _, _, workers in cases]
+    assert sizes == [workers for _, _, workers in cases]
     assert result.lines == run_suite(cfg, count=129, jobs=1).lines
-    assert len(_InProcessPool.sizes) == len(cases)
+    assert len(sizes) == len(cases)
 
 
 def test_run_suite_rejects_nonpositive_count():
