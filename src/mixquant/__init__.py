@@ -13,8 +13,8 @@ the quantile, and independent verification oracles (direct inversion, grid
 scan, Monte Carlo).
 
 Only sampling, the grid and Monte Carlo oracles and the instance generator
-need numpy (and the grid oracle scipy); they import it when called, so the
-package and its exact path load without either.
+need numpy; they import it when called, so the package and its exact path
+load without it.  The package never imports scipy.
 """
 
 from .classify import (

@@ -268,10 +268,11 @@ def bisect_float(pred, lo: float, hi: float, width: float) -> tuple[float, float
 
     ``pred`` must be false at ``lo`` and true at ``hi``; both stay so.  Stops
     once the bracket is no wider than ``width`` or its midpoint rounds onto
-    an end, whichever comes first.
+    an end, whichever comes first.  The midpoint halves each end before
+    adding, so it stays finite for ends near the float range's edge.
     """
     while hi - lo > width:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
         if pred(mid):
@@ -286,9 +287,9 @@ def _draws(m: MixtureSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     scattered into draw order."""
     import numpy as np
 
-    g_ind, g_x, g_y = np.random.default_rng(seed).spawn(3)
+    g_ind, g_x, g_y = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
     take_x = g_ind.random(n) < float(m.q)
-    n_x = int(take_x.sum())
+    n_x = int(np.count_nonzero(take_x))
     x_draws = m.x.sample(n_x, g_x) if n_x else np.empty(0)
     y_draws = m.y.sample(n - n_x, g_y) if n - n_x else np.empty(0)
     return take_x, x_draws, y_draws

@@ -1,8 +1,9 @@
 """Independent oracles and randomized cross-checking for mixture quantiles.
 
 Three oracles answer the same question by different routes: direct CDF
-inversion (exact for piecewise pairs), a dense-grid scan of the mixture CDF
-evaluated by an independent vectorized code path, and a Monte Carlo order
+inversion (exact for piecewise pairs), a grid scan of the mixture CDF
+evaluated by an independent vectorized code path (a coarse pass, then a
+fine pass over the one block holding the answer), and a Monte Carlo order
 statistic.  ``cross_check`` runs an instance through the split construction
 and every applicable oracle, classifies it, verifies the cell relations,
 and checks the structural invariants (sandwich, split identity, bracketing,
@@ -55,7 +56,9 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class GridOracleConfig:
-    """Uniform evaluation grid for the scan oracle."""
+    """Uniform evaluation grid for the scan oracle: point ``i`` is
+    ``i * step + lo`` and the last point is ``hi``, as ``np.linspace`` has
+    them."""
 
     lo: float
     hi: float
@@ -66,6 +69,11 @@ class GridOracleConfig:
             raise ValueError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.steps < 2:
             raise ValueError(f"grid needs at least 2 steps, got {self.steps}")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(
+                f"grid step over [{self.lo}, {self.hi}] in {self.steps} steps "
+                f"must be positive and finite, got {self.step}"
+            )
 
     @property
     def step(self) -> float:
@@ -76,7 +84,8 @@ class GridOracleConfig:
         """Support hull of both components, padded one unit on each side.
 
         Unbounded supports fall back to extreme component quantiles; an
-        exact bound beyond the float range is a ``DomainError``.
+        exact bound beyond the float range, or a hull wider than it, is a
+        ``DomainError``.
         """
         los, his = [], []
         for comp in (m.x, m.y):
@@ -86,7 +95,19 @@ class GridOracleConfig:
                 raise DomainError("grid oracle support bound exceeds the float range") from None
             los.append(lo if math.isfinite(lo) else float(comp.quantile(1e-7)))
             his.append(hi if math.isfinite(hi) else float(comp.quantile(1 - 1e-7)))
-        return cls(min(los) - 1.0, max(his) + 1.0, steps)
+        lo, hi = min(los) - 1.0, max(his) + 1.0
+        if hi - lo == math.inf:
+            raise DomainError(f"grid oracle hull [{lo}, {hi}] is wider than the float range")
+        return cls(lo, hi, steps)
+
+
+def _std_normal_grid(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF in the erf form, ``statistics.NormalDist().cdf``'s;
+    the solver's ``_std_normal_cdf`` uses the erfc form instead."""
+    import numpy as np
+
+    erf = np.array([math.erf(v) for v in (z / math.sqrt(2.0)).tolist()])
+    return 0.5 * (1.0 + erf)
 
 
 def _cdf_grid(d: Distribution, xs: np.ndarray) -> np.ndarray:
@@ -96,7 +117,8 @@ def _cdf_grid(d: Distribution, xs: np.ndarray) -> np.ndarray:
     if isinstance(d, Piecewise):
         # Each feature touches only the points where it moves the CDF: an
         # atom from its location on, a segment's ramp on the points strictly
-        # inside it and its full rise from its right end on (xs is sorted).
+        # inside it, where the ratio already lies in [0, 1], and its full
+        # rise from its right end on (xs is sorted).
         out = np.zeros_like(xs)
         for loc, mass in d.atoms:
             out[np.searchsorted(xs, float(loc)):] += float(mass)
@@ -104,23 +126,28 @@ def _cdf_grid(d: Distribution, xs: np.ndarray) -> np.ndarray:
             left_f, right_f, rise_f = float(left), float(right), float(rise)
             i = np.searchsorted(xs, left_f, side="right")
             k = np.searchsorted(xs, right_f)
-            out[i:k] += rise_f * np.clip((xs[i:k] - left_f) / (right_f - left_f), 0.0, 1.0)
+            out[i:k] += rise_f * ((xs[i:k] - left_f) / (right_f - left_f))
             out[k:] += rise_f
         return out
     if isinstance(d, Uniform):
         return np.clip((xs - d.a) / (d.b - d.a), 0.0, 1.0)
     if isinstance(d, Normal):
-        from scipy.special import ndtr
-
-        return ndtr((xs - d.mu) / d.sigma)
+        return _std_normal_grid((xs - d.mu) / d.sigma)
     if isinstance(d, Exponential):
         return np.where(xs > 0.0, -np.expm1(-d.rate * np.maximum(xs, 0.0)), 0.0)
     if isinstance(d, LogNormal):
-        from scipy.special import ndtr
-
         safe = np.where(xs > 0.0, xs, 1.0)
-        return np.where(xs > 0.0, ndtr((np.log(safe) - d.mu) / d.sigma), 0.0)
+        return np.where(xs > 0.0, _std_normal_grid((np.log(safe) - d.mu) / d.sigma), 0.0)
     raise ValueError(f"no grid CDF for distribution type {type(d).__name__}")
+
+
+def _grid_points(cfg: GridOracleConfig, idx: np.ndarray) -> np.ndarray:
+    """The grid points at the ascending indices ``idx``, bit for bit those of
+    ``np.linspace(cfg.lo, cfg.hi, cfg.steps)[idx]``."""
+    xs = idx * cfg.step + cfg.lo
+    if idx[-1] == cfg.steps - 1:
+        xs[-1] = cfg.hi
+    return xs
 
 
 def grid_oracle_quantile(m: MixtureSpec, p, cfg: GridOracleConfig) -> float:
@@ -128,22 +155,40 @@ def grid_oracle_quantile(m: MixtureSpec, p, cfg: GridOracleConfig) -> float:
 
     Sits within one grid step above the true quantile whenever the grid
     covers it.  Raises if no grid point reaches the level.
+
+    The grid CDF is nondecreasing along the grid: each component's is, and
+    float rounding keeps a sum of nondecreasing terms nondecreasing.  So two
+    passes find the same point as a scan of all ``steps``: a coarse pass over
+    every ``isqrt(steps)``-th point and the last one, then a fine pass over
+    the block that ends at the first coarse point reaching p.  On 10,001
+    steps that evaluates 201 points.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"grid oracle needs 0 < p < 1, got {p}")
     import numpy as np
 
-    xs = np.linspace(cfg.lo, cfg.hi, cfg.steps)
     q = float(m.q)
-    fs = q * _cdf_grid(m.x, xs) + (1.0 - q) * _cdf_grid(m.y, xs)
-    hits = fs >= p - FLOAT_TOL
-    idx = int(np.argmax(hits))
-    if not hits[idx]:
+    level = p - FLOAT_TOL
+
+    def first_reaching(idx: np.ndarray) -> tuple[int, float, bool]:
+        # Among the ascending grid indices idx: the position and point of the
+        # first whose CDF reaches p, and whether any does.
+        xs = _grid_points(cfg, idx)
+        hits = q * _cdf_grid(m.x, xs) + (1.0 - q) * _cdf_grid(m.y, xs) >= level
+        k = int(np.argmax(hits))
+        return k, float(xs[k]), bool(hits[k])
+
+    last = cfg.steps - 1
+    coarse = np.append(np.arange(0, last, math.isqrt(cfg.steps)), last)
+    k, x, reached = first_reaching(coarse)
+    if not reached:
         raise ArithmeticError(
             f"mixture CDF never reaches {p} on [{cfg.lo}, {cfg.hi}]"
         )
-    return float(xs[idx])
+    if k == 0:
+        return x
+    return first_reaching(np.arange(coarse[k - 1] + 1, coarse[k] + 1))[1]
 
 
 def monte_carlo_quantile(m: MixtureSpec, p, n: int, seed: int) -> float:

@@ -51,8 +51,8 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def test_import_leaves_out_scipy_and_mixture_leaves_out_split():
-    # scipy only backs the vectorized grid oracle, which imports it on use;
-    # direct inversion stays independent of the split solver.
+    # The package never imports scipy; direct inversion stays independent
+    # of the split solver.
     out = subprocess.run(
         [sys.executable, "-c", "import mixquant, sys; print('scipy' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -94,6 +94,22 @@ def _in_fresh_interpreter(code: str) -> tuple[list, list]:
 
 def test_import_loads_no_numpy_scipy_or_process_pool():
     assert _in_fresh_interpreter("import mixquant, mixquant.cli") == ([], [])
+
+
+def test_grid_oracle_on_normal_and_lognormal_pairs_loads_no_scipy():
+    code = """
+from fractions import Fraction
+from mixquant import LogNormal, MixtureSpec, Normal, Uniform
+from mixquant.verification import GridOracleConfig, grid_oracle_quantile
+for m in (
+    MixtureSpec(Fraction(1, 3), Normal(0.0, 1.0), Normal(2.0, 0.5)),
+    MixtureSpec(Fraction(1, 2), LogNormal(0.0, 1.0), Uniform(0.5, 2.0)),
+):
+    print(grid_oracle_quantile(m, Fraction(1, 2), GridOracleConfig.from_mixture(m, 10_001)))
+"""
+    printed, heavy = _in_fresh_interpreter(code)
+    assert len(printed) == 2 and all(math.isfinite(x) for x in printed)
+    assert heavy == ["numpy"]
 
 
 def test_exact_cli_commands_load_no_numpy(tmp_path):
@@ -449,6 +465,19 @@ def test_numeric_quantile_stops_at_its_bisection_width(q, x, y):
         s = numeric_quantile(m, F(k, 20))
         assert reached(s, p), (k, s)
         assert not reached(s - 1e-12, p), (k, s)
+
+
+def test_float_bisection_midpoint_stays_finite_at_the_float_range_edge():
+    # Both routes bisect a bracket of ends near -1.5e308 and 1.5e308, where
+    # 0.5 * (lo + hi) overflows to -inf and stopped the bisection on a wrong
+    # answer (-7.5e307 at p = 1/4, 1.375e308 at p = 3/4).
+    from mixquant.split import split_quantile
+
+    m = MixtureSpec(F(1, 2), Uniform(-1.5e308, -1e308), Uniform(1e308, 1.5e308))
+    for p, expected in ((F(1, 4), -1.25e308), (F(3, 4), 1.25e308)):
+        for mm in (m, m.swapped()):
+            assert direct_quantile(mm, p) == expected
+            assert split_quantile(mm, p).s_p == expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import statistics
 import sys
 from fractions import Fraction as F
 
@@ -96,6 +97,23 @@ def test_grid_config_validation():
         GridOracleConfig(1.0, 1.0, 100)
     with pytest.raises(ValueError):
         GridOracleConfig(0.0, 1.0, 1)
+
+
+def test_grid_config_rejects_a_zero_or_infinite_step():
+    # Over [0, 5e-324] in 3 steps the step rounds to 0, where the grid's
+    # points no longer follow from it; a span beyond the float range makes
+    # it infinite.
+    with pytest.raises(ValueError, match="positive and finite"):
+        GridOracleConfig(0.0, 5e-324, 3)
+    with pytest.raises(ValueError, match="positive and finite"):
+        GridOracleConfig(-1.5e308, 1.5e308, 101)
+
+
+def test_grid_config_from_mixture_rejects_a_hull_wider_than_the_float_range():
+    m = MixtureSpec(F(1, 2), Uniform(-1.5e308, -1e308), Uniform(1e308, 1.5e308))
+    for mm in (m, m.swapped()):
+        with pytest.raises(DomainError, match="float range"):
+            GridOracleConfig.from_mixture(mm, steps=10_001)
 
 
 def test_grid_config_from_mixture_pads_the_support_hull():
@@ -200,6 +218,120 @@ def test_sliced_grid_cdf_equals_the_dense_scan_on_grid_points_and_outside_the_gr
         MixtureSpec(F(3, 5), outside, outside),
     ):
         _assert_sliced_grid_is_dense(m, cfg, levels)
+
+
+def test_grid_points_are_the_linspace_points():
+    rng = np.random.default_rng(20)
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(-8, 10)
+        lo = float(rng.uniform(-2, 2)) * scale
+        hi = lo + float(rng.uniform(0.01, 3)) * scale
+        cfg = GridOracleConfig(lo, hi, int(rng.integers(2, 12_346)))
+        dense = np.linspace(cfg.lo, cfg.hi, cfg.steps)
+        points = verification._grid_points(cfg, np.arange(cfg.steps))
+        assert points.tobytes() == dense.tobytes(), cfg
+
+
+_STD_NORMAL = statistics.NormalDist()
+
+
+def _dense_family_cdf(d, xs):
+    """A component's CDF on every point of ``xs``, normal ones in the erf form
+    one element at a time."""
+    if isinstance(d, Piecewise):
+        return _dense_cdf_grid(d, xs)
+    if isinstance(d, Uniform):
+        return np.clip((xs - d.a) / (d.b - d.a), 0.0, 1.0)
+    if isinstance(d, Normal):
+        return np.array([_STD_NORMAL.cdf(z) for z in ((xs - d.mu) / d.sigma).tolist()])
+    if isinstance(d, Exponential):
+        return np.where(xs > 0.0, -np.expm1(-d.rate * np.maximum(xs, 0.0)), 0.0)
+    assert isinstance(d, LogNormal)
+    logs = np.log(np.where(xs > 0.0, xs, 1.0))
+    cdf = np.array([_STD_NORMAL.cdf(z) for z in ((logs - d.mu) / d.sigma).tolist()])
+    return np.where(xs > 0.0, cdf, 0.0)
+
+
+def _assert_two_passes_are_the_full_scan(m, cfg, levels):
+    # Every component array equals the dense reference bit for bit, and at
+    # each level the grid oracle returns the full scan's first reaching
+    # point, or refuses as the scan does.  Returns the index each level hit.
+    xs = np.linspace(cfg.lo, cfg.hi, cfg.steps)
+    dense = [_dense_family_cdf(comp, xs) for comp in (m.x, m.y)]
+    for comp, expected in zip((m.x, m.y), dense):
+        assert verification._cdf_grid(comp, xs).tobytes() == expected.tobytes()
+    q = float(m.q)
+    fs = q * dense[0] + (1.0 - q) * dense[1]
+    found = []
+    for p in levels:
+        hits = fs >= float(p) - FLOAT_TOL
+        if hits.any():
+            found.append(int(np.argmax(hits)))
+            assert grid_oracle_quantile(m, p, cfg) == float(xs[found[-1]]), (cfg, p)
+        else:
+            found.append(None)
+            with pytest.raises(ArithmeticError):
+                grid_oracle_quantile(m, p, cfg)
+    return fs, found
+
+
+#: One of each parametric family, all strictly increasing on [0.05, 3.5].
+_FAMILIES = {
+    "uniform": Uniform(0.0, 5.0),
+    "normal": Normal(2.0, 0.75),
+    "exponential": Exponential(0.7),
+    "lognormal": LogNormal(0.2, 0.8),
+}
+_FAMILY_PAIRS = [
+    ("uniform", "normal"),
+    ("normal", "exponential"),
+    ("exponential", "lognormal"),
+    ("lognormal", "uniform"),
+    ("normal", "lognormal"),
+    ("uniform", "exponential"),
+    ("normal", "normal"),
+]
+
+
+def _target_indices(steps):
+    """Grid indices where the first reaching point is put: both ends, on a
+    coarse point, just after one, and in the last block of the coarse pass."""
+    stride, last = math.isqrt(steps), steps - 1
+    final = stride * ((last - 1) // stride)  # the last coarse point before ``last``
+    middle = stride * (last // stride // 2)
+    wanted = {0, stride, stride + 1, middle, middle + 1}
+    wanted |= {final + 1, (final + last) // 2, last - 1, last}
+    return sorted(i for i in wanted if 0 <= i <= last)
+
+
+@pytest.mark.parametrize("steps", [2, 3, 10, 101, 1000, 10_001, 12_345])
+@pytest.mark.parametrize("x, y", _FAMILY_PAIRS, ids=["-".join(pair) for pair in _FAMILY_PAIRS])
+def test_two_pass_grid_scan_equals_the_full_scan(x, y, steps):
+    m = MixtureSpec(F(2, 5), _FAMILIES[x], _FAMILIES[y])
+    cfg = GridOracleConfig(0.05, 3.5, steps)
+    fs, _ = _assert_two_passes_are_the_full_scan(m, cfg, [F(k, 97) for k in range(1, 97)])
+    # Levels halfway between neighbouring grid CDF values put the first
+    # reaching point on each target index; index 0 takes a level at or below
+    # the slack, and a level above the last value is reached nowhere.
+    targets = _target_indices(steps)
+    levels = [
+        5e-10 if i == 0 else 0.5 * (fs[i - 1] + fs[i]) + FLOAT_TOL for i in targets
+    ] + [0.5 * (fs[-1] + 1.0)]
+    _, found = _assert_two_passes_are_the_full_scan(m, cfg, levels)
+    assert found == targets + [None]
+
+
+def test_two_pass_grid_scan_equals_the_full_scan_on_a_piecewise_step_pair():
+    # Plateaus make many grid points share a CDF value: the first reaching
+    # point is the plateau's left end, in whichever block it falls.
+    m = MixtureSpec(
+        F(1, 3),
+        Piecewise([(F(1, 3), F(1, 4)), (2, F(1, 4))], [(F(1, 2), 1, F(1, 2))]),
+        Normal(3.0, 0.2),
+    )
+    levels = [F(k, 97) for k in range(1, 97)]
+    for steps in (2, 3, 10, 101, 10_001, 12_345):
+        _assert_two_passes_are_the_full_scan(m, GridOracleConfig(0.0, 4.0, steps), levels)
 
 
 # ---------------------------------------------------------------------------
