@@ -10,6 +10,7 @@ crossing of the level p is bracketed and bisected in floating point.
 from __future__ import annotations
 
 import bisect
+import struct
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,11 +38,7 @@ __all__ = [
     "numeric_quantile",
     "bisect_float",
     "sample",
-    "DIRECT_BISECTION_TOL",
 ]
-
-#: Width of the bracketing interval at which parametric direct inversion stops.
-DIRECT_BISECTION_TOL = 1e-12
 
 _ZERO = Fraction(0)
 _FLOAT = itemgetter(0)
@@ -238,20 +235,23 @@ def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
 
 
 def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
-    """Smallest x with F_S(x) >= p by monotone bracketing and bisection.
+    """Smallest float x with F_S(x) >= p, in float arithmetic, by bisection.
 
-    Works for any component pair (the CDFs only need to be evaluable), at
-    float precision ``DIRECT_BISECTION_TOL``; ``direct_quantile``'s exact
-    route over ``MixtureSpec.pieces`` is preferable whenever both components
-    are piecewise.
+    Works for any component pair (the CDFs only need to be evaluable).  The
+    crossing is bracketed by the component quantiles at p and bisected down
+    to adjacent floats, so the answer reaches p and the float below it does
+    not.  ``direct_quantile``'s exact route over ``MixtureSpec.pieces`` is
+    preferable whenever both components are piecewise.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"numeric inversion needs 0 < p < 1, got {p}")
     q = float(m.q)
+    r = 1.0 - q
+    x_cdf, y_cdf = m.x.cdf, m.y.cdf
 
     def reached(x: float) -> bool:
-        return q * float(m.x.cdf(x)) + (1.0 - q) * float(m.y.cdf(x)) >= p
+        return q * float(x_cdf(x)) + r * float(y_cdf(x)) >= p
 
     qx = float(m.x.quantile(p))
     qy = float(m.y.quantile(p))
@@ -260,26 +260,41 @@ def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
     # so the crossing lies in [lo, hi].
     if reached(lo):
         return lo
-    return bisect_float(reached, lo, hi, DIRECT_BISECTION_TOL)[1]
+    return bisect_float(reached, lo, hi)[1]
 
 
-def bisect_float(pred, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Shrink ``[lo, hi]`` around the flip of a monotone ``pred``.
+def bisect_float(pred, lo: float, hi: float) -> tuple[float, float]:
+    """Shrink ``[lo, hi]`` to adjacent floats around the flip of a monotone ``pred``.
 
-    ``pred`` must be false at ``lo`` and true at ``hi``; both stay so.  Stops
-    once the bracket is no wider than ``width`` or its midpoint rounds onto
-    an end, whichever comes first.  The midpoint halves each end before
-    adding, so it stays finite for ends near the float range's edge.
+    ``pred`` must be false at ``lo`` and true at ``hi``; both stay so.  Each
+    probe halves the floats' ranks between the ends, not their values, so
+    any bracket, even ``(-inf, inf)``, takes at most 64 probes.
     """
-    while hi - lo > width:
-        mid = 0.5 * lo + 0.5 * hi
-        if mid <= lo or mid >= hi:
-            break
+    lo_rank, hi_rank = _rank(lo), _rank(hi)
+    while hi_rank - lo_rank > 1:
+        mid_rank = (lo_rank + hi_rank) // 2
+        mid = _float_of_rank(mid_rank)
         if pred(mid):
-            hi = mid
+            hi, hi_rank = mid, mid_rank
         else:
-            lo = mid
+            lo, lo_rank = mid, mid_rank
     return lo, hi
+
+
+def _rank(x: float) -> int:
+    """x's place in float order: its bits as a signed 64-bit integer, with
+    the magnitude bits of negatives flipped so that they count down.
+
+    -0.0 and 0.0 get the adjacent ranks -1 and 0 (IEEE 754 totalOrder).
+    """
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits ^ 0x7FFF_FFFF_FFFF_FFFF if bits < 0 else bits
+
+
+def _float_of_rank(rank: int) -> float:
+    """The float whose ``_rank`` is ``rank``."""
+    bits = rank ^ 0x7FFF_FFFF_FFFF_FFFF if rank < 0 else rank
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def _draws(m: MixtureSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

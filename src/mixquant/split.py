@@ -39,14 +39,11 @@ from .mixture import MixtureSpec, _checked_level, bisect_float, mixture_cdf
 
 __all__ = [
     "QuantileSolution",
-    "BISECTION_WIDTH",
     "feasible_alpha_range",
     "ordering_predicate",
     "split_quantile",
 ]
 
-#: Bisection stops once the bracket on alpha is narrower than this.
-BISECTION_WIDTH = 1e-14
 #: Most float steps up that a float route's ``s_p`` takes to reach p.
 _MAX_ULP_STEPS = 4
 
@@ -84,11 +81,15 @@ def feasible_alpha_range(q: RealLike, p: RealLike) -> tuple[Fraction, Fraction]:
 def _beta_of(q, p, alpha):
     """The partner level (p - q*alpha)/(1-q), clamped to [0, 1].
 
-    Exact arguments give an exact level and float arguments a float one.
+    An exact alpha gives an exact level.  A float alpha gives the float
+    level computed from ``float(q)`` and ``float(p)``, the one the numeric
+    route's probe at that alpha judged, so a reported beta is the probed one.
     The clamp only acts on float alphas, which can land an epsilon outside
     the feasible range; on ties ``min`` and ``max`` return their first
     argument, so exact feasible levels pass through unchanged.
     """
+    if isinstance(alpha, float):
+        q, p = float(q), float(p)
     beta = (p - q * alpha) / (1 - q)
     return min(max(beta, 0), 1)
 
@@ -247,21 +248,19 @@ def _refine_cell(
 def _solve_split_numeric(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Fraction):
     """Float bisection for alpha*, given the ordering fails at a_lo and holds at a_hi.
 
-    The probes see q and p as floats, so each one runs in float arithmetic.
+    The probes see q and p as floats, so each one runs in float arithmetic,
+    and the bracket shrinks to adjacent floats.
     """
     holds = partial(_holds, m, float(m.q), float(p))
 
     def objective(alpha) -> ExtendedReal:
         return max(m.x.quantile(alpha), m.y.quantile(_beta_of(m.q, p, alpha)))
 
-    lo, hi = bisect_float(holds, float(a_lo), float(a_hi), BISECTION_WIDTH)
-    # An end the bisection never moved is an end of the feasible range, where
-    # beta may be exactly 0 or 1.  Rounding alpha to a float there can move
-    # beta off the jump of Qy at that level, so such an end is judged exactly.
-    lo = a_lo if lo == float(a_lo) else lo
-    hi = a_hi if hi == float(a_hi) else hi
+    lo, hi = bisect_float(holds, float(a_lo), float(a_hi))
     # Every feasible alpha has F_S(max{Qx(alpha), Qy(beta(alpha))}) >= p, so
-    # the bracket end with the smaller max gives the better quantile.  It is
-    # lo when the infimum is not attained, e.g. where Qx jumps up from -inf
-    # at level 0 and the bracket never leaves it.
-    return lo if objective(lo) < objective(hi) else hi
+    # the candidate with the smaller max gives the better quantile.  An exact
+    # range end, where beta may be exactly 0 or 1, can beat the floats: at
+    # the float image of p/q beta may sit an epsilon above 0, off the jump
+    # of Qy there.  lo wins when the infimum is not attained, e.g. where Qx
+    # jumps up from -inf at level 0.  On ties the exact ends come first.
+    return min((a_lo, a_hi, lo, hi), key=objective)

@@ -83,9 +83,10 @@ class GridOracleConfig:
     def from_mixture(cls, m: MixtureSpec, steps: int) -> "GridOracleConfig":
         """Support hull of both components, padded one unit on each side.
 
-        Unbounded supports fall back to extreme component quantiles; an
-        exact bound beyond the float range, or a hull wider than it, is a
-        ``DomainError``.
+        From 2**53 up, where a float step is wider than one unit, the pad is
+        one float step at the hull's largest magnitude instead.  Unbounded
+        supports fall back to extreme component quantiles; an exact bound
+        beyond the float range, or a hull wider than it, is a ``DomainError``.
         """
         los, his = [], []
         for comp in (m.x, m.y):
@@ -95,7 +96,9 @@ class GridOracleConfig:
                 raise DomainError("grid oracle support bound exceeds the float range") from None
             los.append(lo if math.isfinite(lo) else float(comp.quantile(1e-7)))
             his.append(hi if math.isfinite(hi) else float(comp.quantile(1 - 1e-7)))
-        lo, hi = min(los) - 1.0, max(his) + 1.0
+        lo, hi = min(los), max(his)
+        pad = max(1.0, math.ulp(max(abs(lo), abs(hi))))
+        lo, hi = lo - pad, hi + pad
         if hi - lo == math.inf:
             raise DomainError(f"grid oracle hull [{lo}, {hi}] is wider than the float range")
         return cls(lo, hi, steps)

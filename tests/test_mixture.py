@@ -28,6 +28,7 @@ from mixquant.distributions import (
 )
 from mixquant.mixture import (
     MixtureSpec,
+    bisect_float,
     direct_quantile,
     merged_distribution,
     mixture_cdf,
@@ -426,9 +427,9 @@ def test_numeric_quantile_returns_the_lower_bracket_end_once_reached():
     assert numeric_quantile(m.swapped(), F(1, 2)) == 0.0
 
 
-def test_numeric_quantile_stops_when_the_midpoint_rounds_onto_an_end():
-    # Near 1e9 one float step is about 1.2e-7, far wider than the 1e-12
-    # bisection width, so the bracket ends as two adjacent floats.
+def test_numeric_quantile_stops_at_adjacent_floats_far_from_zero():
+    # Near 1e9 one float step is about 1.2e-7; the bracket still ends as two
+    # adjacent floats.
     m = MixtureSpec(F(1, 2), Normal(1e9, 1.0), Normal(1e9 + 1.0, 2.0))
     s = numeric_quantile(m, F(3, 10))
 
@@ -452,9 +453,8 @@ STOP_WIDTH_PAIRS = [
 
 @pytest.mark.parametrize("q, x, y", STOP_WIDTH_PAIRS)
 def test_numeric_quantile_stops_at_its_bisection_width(q, x, y):
-    # The bracket ends no wider than 1e-12 around the crossing, so one width
-    # below the answer the mixture still falls short of p.  The width is a
-    # literal here, so a coarser DIRECT_BISECTION_TOL fails this test.
+    # The bracket ends at adjacent floats around the crossing, so one float
+    # below the answer the mixture still falls short of p.
     m = MixtureSpec(q, x, y)
 
     def reached(t, p):
@@ -464,7 +464,28 @@ def test_numeric_quantile_stops_at_its_bisection_width(q, x, y):
         p = k / 20
         s = numeric_quantile(m, F(k, 20))
         assert reached(s, p), (k, s)
-        assert not reached(s - 1e-12, p), (k, s)
+        assert not reached(math.nextafter(s, -math.inf), p), (k, s)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-math.inf, math.inf), (-1.5e308, 1.5e308), (5e-324, 1.0), (-1.0, -0.0)],
+)
+def test_bisect_float_ends_at_adjacent_floats_within_64_probes(lo, hi):
+    # Flips just above lo, inside, and at hi itself; at (-1.0, -0.0) the
+    # flip at 0 leaves hi = -0.0 and lo the negative float next to it.
+    inside = 0.5 * lo + 0.5 * hi if math.isfinite(hi - lo) else 1.0
+    for flip in (math.nextafter(lo, math.inf), inside, hi):
+        probes = []
+
+        def pred(x):
+            probes.append(x)
+            return x >= flip
+
+        got_lo, got_hi = bisect_float(pred, lo, hi)
+        assert got_hi == flip and math.nextafter(got_lo, math.inf) == got_hi, flip
+        assert got_lo < flip and lo <= got_lo
+        assert len(probes) <= 64, flip
 
 
 def test_float_bisection_midpoint_stays_finite_at_the_float_range_edge():

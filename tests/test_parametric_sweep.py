@@ -10,7 +10,8 @@ Both float routes are judged against CDFs written here from the textbook
 formulas: an answer ``s`` must reach p up to ``LEVEL_ROUNDING``, and the
 mixture must fall short of p at twice the position tolerance below ``s``.
 Every Uniform pair is also compared with its exact ``Piecewise.uniform``
-twin.
+twin.  The direct route bisects to adjacent floats, so its answer is the
+first float at which the components' own float CDFs reach p.
 """
 
 import math
@@ -162,6 +163,21 @@ def test_float_routes_reach_the_level_and_not_earlier(seed, route):
         if why is not None
     ]
     assert misses == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_direct_answers_are_the_first_float_reaching_the_level(seed):
+    def reached(m, x, p):
+        q = float(m.q)
+        return q * m.x.cdf(x) + (1.0 - q) * m.y.cdf(x) >= p
+
+    late = [
+        (m, p, s)
+        for m, p in CASES[seed]
+        for s in [direct_quantile(m, p)]
+        if not (reached(m, s, float(p)) and not reached(m, math.nextafter(s, -math.inf), float(p)))
+    ]
+    assert late == []
 
 
 @pytest.mark.parametrize("seed", SEEDS)

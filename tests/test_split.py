@@ -413,6 +413,29 @@ def test_numeric_split_judges_an_unmoved_bracket_end_exactly():
                     assert abs(split_quantile(mm, p).s_p - float(p / q)) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (
+            Uniform(0.0034301843057587796, 0.004672723056097741),
+            Uniform(0.001756781384810812, 0.0034301843057587796),
+        ),
+        (
+            Uniform(3955147271.087907, 4524474193.557625),
+            Uniform(4524474193.557625, 6220638261.450662),
+        ),
+    ],
+)
+def test_numeric_split_on_touching_uniforms_passes_cross_check(x, y):
+    # At q = p = 1/2 the quantile is the touching point and alpha* is an end
+    # of the feasible range, 0 or 1.  The float bracket end next to it ties
+    # with it on max{Qx, Qy}, but reports alpha* and beta* a rounding off
+    # the exact levels, which the cell relations reject; the exact end wins.
+    m = MixtureSpec(F(1, 2), x, y)
+    for mm in (m, m.swapped()):
+        assert cross_check(mm, F(1, 2)).failures == ()
+
+
 def test_split_on_normal_pair_agrees_with_direct_inversion():
     m = MixtureSpec(F(3, 10), Normal(0, 1), Normal(1, 1))
     sol = split_quantile(m, F(1, 2))
@@ -422,9 +445,9 @@ def test_split_on_normal_pair_agrees_with_direct_inversion():
 
 
 def test_numeric_split_stops_before_beta_rounds_to_one():
-    # The float bisection stops once alpha's bracket is BISECTION_WIDTH wide.
-    # Bisected down to adjacent floats, this split rounds beta(alpha*) to 1.0,
-    # where Qy is +inf, and s_p came out inf.
+    # Bisected down to adjacent floats, this split once rounded beta(alpha*)
+    # to 1.0, where Qy is +inf, and s_p came out inf: the reported beta was
+    # exact while the probe's float beta stayed below 1.
     m = MixtureSpec(
         F(1, 3), Normal(2962547.835112346, 47797870.0225252), Normal(0, 6386450.517567269)
     )

@@ -15,8 +15,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 #: Below this, a float literal reads as a tolerance rather than a value.
 TINY = 1e-6
-#: Bisection stop widths: they end a search, they do not judge an answer.
-STOP_WIDTHS = {("mixture.py", "DIRECT_BISECTION_TOL"), ("split.py", "BISECTION_WIDTH")}
 
 
 def _is_tiny(node: ast.AST) -> bool:
@@ -28,7 +26,7 @@ def _is_tiny(node: ast.AST) -> bool:
     return 0 < abs(node.value) < TINY
 
 
-def _own_tolerances(tree: ast.Module, name: str = "") -> list:
+def _own_tolerances(tree: ast.Module) -> list:
     """Lines of tiny literals in comparisons and of module constants bound to one."""
     lines = [
         node.lineno
@@ -42,8 +40,7 @@ def _own_tolerances(tree: ast.Module, name: str = "") -> list:
             targets = [stmt.target]
         else:
             continue
-        names = {(name, target.id) for target in targets if isinstance(target, ast.Name)}
-        if _is_tiny(stmt.value) and not names <= STOP_WIDTHS:
+        if _is_tiny(stmt.value):
             lines.append(stmt.lineno)
     return lines
 
@@ -54,12 +51,11 @@ def test_the_guard_catches_a_tolerance_of_its_own():
         "SLACK: float = 1e-9",
         "ok = abs(float(recombined) - float(p)) <= 1e-12",
         "ok = -1e-9 <= grid - s <= step + 1e-9",
+        "WIDTH = 1e-14",
     ):
         assert _own_tolerances(ast.parse(old)) == [1], old
-    assert _own_tolerances(ast.parse("BISECTION_WIDTH = 1e-14"), "mixture.py") == [1]
     for fine in ("lo = d.quantile(1e-7)", "TOL = 0.5", "ok = a <= b + 0.5"):
         assert _own_tolerances(ast.parse(fine)) == [], fine
-    assert _own_tolerances(ast.parse("BISECTION_WIDTH = 1e-14"), "split.py") == []
 
 
 def test_only_distributions_holds_float_tolerances():
@@ -68,7 +64,7 @@ def test_only_distributions_holds_float_tolerances():
         if name.endswith(".py") and name != "distributions.py":
             with open(os.path.join(SRC, name), encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), filename=name)
-            found += [(name, line) for line in _own_tolerances(tree, name)]
+            found += [(name, line) for line in _own_tolerances(tree)]
     assert found == []
 
 

@@ -122,6 +122,26 @@ def test_grid_config_from_mixture_pads_the_support_hull():
     assert cfg.lo == -1.0 and cfg.hi == 3.0 and cfg.steps == 100
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (Piecewise.point_mass(10**300), Piecewise.point_mass(10**300)),
+        (Piecewise.point_mass(10**16), Piecewise.point_mass(10**16 + 4)),
+        (Piecewise.point_mass(-(10**300)), Piecewise.uniform(10**300, 2 * 10**300)),
+    ],
+)
+def test_grid_config_from_mixture_pads_by_a_float_step_beyond_2_53(x, y):
+    # A one-unit pad is absorbed at these magnitudes: the hull of the first
+    # pair stayed [1e300, 1e300] and raised "grid needs lo < hi".
+    m = MixtureSpec(F(1, 2), x, y)
+    for mm in (m, m.swapped()):
+        cfg = GridOracleConfig.from_mixture(mm, steps=10_001)
+        assert cfg.lo < float(min(x.support_bounds()[0], y.support_bounds()[0]))
+        assert cfg.hi > float(max(x.support_bounds()[1], y.support_bounds()[1]))
+        for p in (F(1, 4), F(1, 2), F(3, 4)):
+            assert cross_check(mm, p, cfg).failures == (), p
+
+
 def test_grid_config_from_mixture_handles_unbounded_support():
     m = MixtureSpec(F(1, 2), Normal(0, 1), Normal(1, 1))
     cfg = GridOracleConfig.from_mixture(m, steps=100)
