@@ -165,11 +165,8 @@ def _solve_split(m: MixtureSpec, p: Fraction):
         # Ordering holds nowhere on the feasible range: clamp to the top.
         return alpha_max, _beta_of(q, p, alpha_max), True
     # From here on the predicate is false at alpha_min and true at alpha_max.
-    if m.is_exact:
-        alpha = _solve_split_exact(m, p, alpha_min, alpha_max)
-        return alpha, _beta_of(q, p, alpha), False
-    alpha = _solve_split_numeric(m, p, alpha_min, alpha_max)
-    return float(alpha), float(_beta_of(q, p, alpha)), False
+    alpha = (_solve_split_exact if m.is_exact else _solve_split_numeric)(m, p, alpha_min, alpha_max)
+    return alpha, _beta_of(q, p, alpha), False
 
 
 # -- exact path ----------------------------------------------------------------
@@ -258,9 +255,11 @@ def _solve_split_numeric(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Frac
 
     lo, hi = bisect_float(holds, float(a_lo), float(a_hi))
     # Every feasible alpha has F_S(max{Qx(alpha), Qy(beta(alpha))}) >= p, so
-    # the candidate with the smaller max gives the better quantile.  An exact
-    # range end, where beta may be exactly 0 or 1, can beat the floats: at
-    # the float image of p/q beta may sit an epsilon above 0, off the jump
-    # of Qy there.  lo wins when the infimum is not attained, e.g. where Qx
-    # jumps up from -inf at level 0.  On ties the exact ends come first.
-    return min((a_lo, a_hi, lo, hi), key=objective)
+    # the candidate with the smaller max gives the better quantile; lo wins
+    # when the infimum is not attained, e.g. where Qx jumps up from -inf at
+    # level 0.  An exact range end is a candidate only when the bisection
+    # ended within rounding of it: then alpha* is that end, whose exact beta
+    # may sit on a jump that the float one misses by an epsilon.  A far end
+    # is not alpha*, and on a tie it would report a level off the crossing.
+    ends = [e for e, near in ((a_lo, lo), (a_hi, hi)) if abs(near - e) <= LEVEL_ROUNDING]
+    return min(ends + [lo, hi], key=objective)

@@ -84,6 +84,43 @@ def test_quantile_machine_output(spec_file, capsys):
     }
 
 
+def test_quantile_on_a_mixed_pair_answers_at_the_atom(spec_file, capsys):
+    # X's atom at 0 holds the level: s_p = 0, reached at the exact end alpha = 1/5.
+    doc = {
+        "q": "0.5",
+        "X": {
+            "kind": "piecewise",
+            "atoms": [["0", "1/5"]],
+            "segments": [["5/4", "2", "2/5"], ["2", "11/4", "2/5"]],
+        },
+        "Y": {"kind": "normal", "mu": 2.0009366731385736, "sigma": 1.4825307706491733},
+    }
+    assert main(["quantile", "--spec", spec_file(doc), "--p", "0.1"]) == 0
+    assert capsys.readouterr().out.startswith("s_p = 0\n")
+
+
+def test_quantile_prints_an_exact_range_end_exactly(spec_file, capsys):
+    # Touching float Uniforms at q = p = 1/2: alpha* is the exact end 1.
+    doc = {
+        "q": "0.5",
+        "X": {"kind": "uniform", "a": 0, "b": 1},
+        "Y": {"kind": "uniform", "a": 1, "b": 2},
+    }
+    spec = spec_file(doc)
+    assert main(["quantile", "--spec", spec, "--p", "0.5"]) == 0
+    assert capsys.readouterr().out == (
+        "s_p = 1.0\n"
+        "alpha_star = 1\n"
+        "beta_star = 0\n"
+        "x_attains = true\n"
+        "y_attains = false\n"
+        "clamped = false\n"
+    )
+    assert main(["--format", "machine", "quantile", "--spec", spec, "--p", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["s_p"], doc["alpha_star"], doc["beta_star"]) == ("1.0", "1", "0")
+
+
 def test_quantile_output_is_byte_deterministic(spec_file, capsys):
     argv = ["quantile", "--spec", spec_file(NORMAL_PAIR), "--p", "0.9"]
     assert main(argv) == 0

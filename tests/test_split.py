@@ -29,7 +29,7 @@ from mixquant.split import (
     ordering_predicate,
     split_quantile,
 )
-from mixquant.verification import InstanceGenConfig, cross_check, generate_instance
+from mixquant.verification import GridOracleConfig, InstanceGenConfig, cross_check, generate_instance
 
 from reference import ref_solve_split
 from test_distributions import levels, piecewise_dists
@@ -434,6 +434,109 @@ def test_numeric_split_on_touching_uniforms_passes_cross_check(x, y):
     m = MixtureSpec(F(1, 2), x, y)
     for mm in (m, m.swapped()):
         assert cross_check(mm, F(1, 2)).failures == ()
+
+
+def _pw(atoms, segments):
+    return Piecewise(
+        [tuple(map(F, a)) for a in atoms], [tuple(map(F, s)) for s in segments]
+    )
+
+
+def test_mixed_split_keeps_an_exact_end_exact():
+    # F_S(0-) = 0.044 and F_S(0) = 0.144, so s_p = 0, reached at the exact
+    # end alpha = 1/5 where X's atom at 0 is used up.  Converted to a float,
+    # that end lies just above the atom and Qx jumps to 5/4.
+    m = MixtureSpec(
+        F(1, 2),
+        _pw([("0", "1/5")], [("5/4", "2", "2/5"), ("2", "11/4", "2/5")]),
+        Normal(2.0009366731385736, 1.4825307706491733),
+    )
+    p = F(1, 10)
+    for mm in (m, m.swapped()):
+        assert split_quantile(mm, p).s_p == 0
+        grid = GridOracleConfig.from_mixture(mm, 10_001)
+        assert cross_check(mm, p, grid).failures == ()
+
+
+def test_mixed_split_reports_the_crossing_not_a_far_end():
+    # s_p = 0 is reached from every alpha in [0, 1], but only alpha* = 1/2
+    # splits p between the atom and the Normal's median; the far ends 0 and
+    # 1 tie on max{Qx, Qy} and fail the bracketing.
+    m = MixtureSpec(F(1, 2), Normal(0, 1), Piecewise.point_mass(0))
+    for mm in (m, m.swapped()):
+        sol = split_quantile(mm, F(1, 2))
+        assert sol.s_p == 0
+        assert close(sol.alpha_star, F(1, 2), False)
+        assert close(sol.beta_star, F(1, 2), False)
+        assert cross_check(mm, F(1, 2)).failures == ()
+
+
+@pytest.mark.parametrize(
+    "m, p, want",
+    [
+        (
+            MixtureSpec(
+                F(1, 4),
+                Uniform(-1, 1.5),
+                _pw([("-1/2", "3/13"), ("0", "2/13"), ("3/2", "4/13")], [("2", "5/2", "4/13")]),
+            ),
+            F(9, 52),
+            -0.5,
+        ),
+        (
+            MixtureSpec(
+                F(3, 4),
+                Exponential(2.141229009376601),
+                _pw([("-1/2", "2/5"), ("0", "3/10"), ("3/2", "1/5")], [("1", "3/2", "1/10")]),
+            ),
+            F(1, 10),
+            -0.5,
+        ),
+        (
+            MixtureSpec(F(1, 4), _pw([("-2", "2/5"), ("-3/2", "3/5")], []), Uniform(-1, 1.5)),
+            F(1, 10),
+            -2.0,
+        ),
+        (
+            MixtureSpec(
+                F(1, 4),
+                _pw([("-2", "1/5"), ("11/4", "2/5")], [("2", "11/4", "2/5")]),
+                Uniform(-1, 1.5),
+            ),
+            F(4, 5),
+            1.5,
+        ),
+        (
+            MixtureSpec(
+                F(1, 4),
+                Uniform(-1, 1.5),
+                _pw(
+                    [("-1/2", "2/7"), ("0", "1/7"), ("3/2", "1/7")],
+                    [("0", "1", "1/7"), ("9/4", "3", "2/7")],
+                ),
+            ),
+            F(11, 14),
+            1.5,
+        ),
+        (
+            MixtureSpec(
+                F(1, 2),
+                Exponential(1.473566029807344),
+                _pw([("1/2", "1/5")], [("-7/4", "-1", "1/5"), ("1/4", "1", "3/5")]),
+            ),
+            F(1, 10),
+            -1.0,
+        ),
+    ],
+    ids=["394", "748", "1147", "1207", "1245", "1250"],
+)
+def test_mixed_split_matches_the_grid_on_census_pairs(m, p, want):
+    # Pairs of the tier-1 mixed sweep (ids are its indices) whose quantile
+    # sits on a piecewise atom or segment end.  ``want`` is a 100,001-step
+    # grid oracle's answer, rounded to the generator's lattice.
+    for mm in (m, m.swapped()):
+        assert close(split_quantile(mm, p).s_p, want, False)
+        assert cross_check(mm, p).failures == ()
 
 
 def test_split_on_normal_pair_agrees_with_direct_inversion():
