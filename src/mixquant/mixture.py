@@ -4,12 +4,13 @@ The mixture CDF is the convex combination q*F + (1-q)*G.  For a pair of
 exact piecewise components the mixture is itself piecewise, so direct
 inversion of the CDF stays exact: it bisects the mixture's quantile pieces,
 walked once from the components' own.  For parametric pairs the leftmost
-crossing of the level p is bracketed and bisected in floating point.
+crossing of the level p is bracketed and narrowed in floating point.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import struct
 from array import array
 from dataclasses import dataclass
@@ -235,13 +236,14 @@ def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
 
 
 def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
-    """Smallest float x with F_S(x) >= p, in float arithmetic, by bisection.
+    """Smallest float x with F_S(x) >= p, in float arithmetic, by a bracketed search.
 
     Works for any component pair (the CDFs only need to be evaluable).  The
-    crossing is bracketed by the component quantiles at p and bisected down
-    to adjacent floats, so the answer reaches p and the float below it does
-    not.  ``direct_quantile``'s exact route over ``MixtureSpec.pieces`` is
-    preferable whenever both components are piecewise.
+    crossing is bracketed by the component quantiles at p and narrowed by
+    ``bisect_float`` down to adjacent floats, so the answer reaches p and the
+    float below it does not.  ``direct_quantile``'s exact route over
+    ``MixtureSpec.pieces`` is preferable whenever both components are
+    piecewise.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -250,34 +252,78 @@ def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
     r = 1.0 - q
     x_cdf, y_cdf = m.x.cdf, m.y.cdf
 
-    def reached(x: float) -> bool:
-        return q * float(x_cdf(x)) + r * float(y_cdf(x)) >= p
+    def gap(x: float) -> float:
+        # For floats a >= b exactly when a - b >= 0 (gradual underflow), so
+        # the gap's sign is the float predicate F_S(x) >= p.
+        return q * float(x_cdf(x)) + r * float(y_cdf(x)) - p
 
     qx = float(m.x.quantile(p))
     qy = float(m.y.quantile(p))
     lo, hi = min(qx, qy), max(qx, qy)
     # F_S(hi) >= q*p + (1-q)*p = p, and below lo both CDFs fall short of p,
     # so the crossing lies in [lo, hi].
-    if reached(lo):
+    if gap(lo) >= 0.0:
         return lo
-    return bisect_float(reached, lo, hi)[1]
+    return bisect_float(gap, lo, hi)[1]
 
 
-def bisect_float(pred, lo: float, hi: float) -> tuple[float, float]:
-    """Shrink ``[lo, hi]`` to adjacent floats around the flip of a monotone ``pred``.
+#: ITP constants (Oliveira and Takahashi, "An enhancement of the bisection
+#: method average performance preserving minmax optimality", ACM TOMS 47(1),
+#: 2020), in float ranks: a probe is truncated toward the rank midpoint by
+#: ``w*w // (_ITP_KAPPA * w0) + 1`` and projected into a radius that leaves
+#: ``_ITP_N0`` probes of slack over plain halving.
+_ITP_KAPPA = 20
+_ITP_N0 = 1
 
-    ``pred`` must be false at ``lo`` and true at ``hi``; both stay so.  Each
-    probe halves the floats' ranks between the ends, not their values, so
-    any bracket, even ``(-inf, inf)``, takes at most 64 probes.
+
+def bisect_float(probe, lo: float, hi: float) -> tuple[float, float]:
+    """Shrink ``[lo, hi]`` to adjacent floats around the flip of a monotone predicate.
+
+    ``probe(x)`` returns the predicate, which must be false at ``lo`` and
+    true at ``hi``; both stay so.  A probe may instead return a float gap
+    whose ``gap >= 0`` is exactly the predicate; the gap only places the
+    next probe.  Each probe lies in the ranks of the floats between the
+    ends, not in their values, so any bracket, even ``(-inf, inf)``, closes.
+
+    A predicate halves the ranks: at most ``n_half = ceil(log2(w0))``
+    probes, where ``w0`` is the ends' rank distance.  Gaps drive the ITP
+    method: the regula falsi point in value space, mapped to a rank,
+    truncated toward the rank midpoint and projected into the radius
+    ``2**(n_half + _ITP_N0 - j - 1) - ceil(w/2)`` around it at probe ``j``
+    and rank width ``w``, which keeps the worst case at ``n_half + _ITP_N0
+    <= 65`` probes.  The ends themselves are never probed, so the probe
+    halves until a probe has replaced each end, and wherever an end's gap
+    is not finite.
     """
     lo_rank, hi_rank = _rank(lo), _rank(hi)
-    while hi_rank - lo_rank > 1:
+    w0 = hi_rank - lo_rank
+    n_max = (w0 - 1).bit_length() + _ITP_N0
+    # nan until a gap replaces the end, and for good with a boolean probe.
+    lo_gap = hi_gap = math.nan
+    j = 0
+    while (w := hi_rank - lo_rank) > 1:
         mid_rank = (lo_rank + hi_rank) // 2
-        mid = _float_of_rank(mid_rank)
-        if pred(mid):
-            hi, hi_rank = mid, mid_rank
+        rank = mid_rank
+        if -math.inf < lo_gap < 0.0 <= hi_gap < math.inf:
+            # The regula falsi point, in value space and mapped to a rank.
+            x = lo + lo_gap / (lo_gap - hi_gap) * (hi - lo)
+            if math.isfinite(x):
+                rank = min(max(_rank(x), lo_rank), hi_rank)
+                # Truncated toward the midpoint, then projected into the radius.
+                sigma = 1 if rank <= mid_rank else -1
+                delta = w * w // (_ITP_KAPPA * w0) + 1
+                rank = rank + sigma * delta if delta <= abs(mid_rank - rank) else mid_rank
+                radius = (1 << (n_max - j - 1)) - (w + 1) // 2
+                if abs(rank - mid_rank) > radius:
+                    rank = mid_rank - sigma * radius
+        x = _float_of_rank(rank)
+        answer = probe(x)
+        j += 1
+        gap, holds = (answer, answer >= 0.0) if isinstance(answer, float) else (math.nan, answer)
+        if holds:
+            hi, hi_rank, hi_gap = x, rank, gap
         else:
-            lo, lo_rank = mid, mid_rank
+            lo, lo_rank, lo_gap = x, rank, gap
     return lo, hi
 
 

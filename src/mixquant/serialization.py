@@ -150,19 +150,35 @@ def _check_fields(obj: dict, what: str, required: tuple[str, ...], optional=("ki
         raise SpecParseError(f"{what} has unknown fields {sorted(extra)}")
 
 
-def _parse_rows(raw: list, row: str, names: tuple[str, ...], shape: str) -> list[tuple]:
+def _parse_rows(
+    raw: list, row: str, names: tuple[str, ...], shape: str, numbers: dict[str, Fraction]
+) -> list[tuple]:
     """Exact rows of a piecewise literal, each a list of one number per name.
 
-    A row that fails to parse is read again with labels, so the message
-    names the row and field; well-formed rows build no labels.
+    Each distinct string is parsed once, through ``numbers``, which the
+    literal's rows share, so equal numbers arrive as one ``Fraction`` and
+    the build can tell a shared end by identity.  Only strings are keys
+    (JSON ``true`` equals ``1`` as a key and must still be rejected), and
+    only parsed ones are stored.  A row that fails to parse is read again
+    with labels, so the message names the row and field; well-formed rows
+    build no labels.
     """
+
+    def parse(value) -> Fraction:
+        if value.__class__ is not str:
+            return parse_exact_number(value)
+        number = numbers.get(value)
+        if number is None:
+            number = numbers[value] = parse_exact_number(value)
+        return number
+
     width = len(names)
     rows = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != width:
             raise SpecParseError(f"{row} {i} must be a [{', '.join(names)}] {shape}")
         try:
-            rows.append(tuple(map(parse_exact_number, entry)))
+            rows.append(tuple(map(parse, entry)))
         except SpecParseError:
             labels = [f"{row} {i} {name}" for name in names]
             rows.append(tuple(map(parse_exact_number, entry, labels)))  # raises, with the label
@@ -180,8 +196,11 @@ def parse_distribution(obj) -> Distribution:
         segments_raw = obj.get("segments", [])
         if not isinstance(atoms_raw, list) or not isinstance(segments_raw, list):
             raise SpecParseError("piecewise atoms/segments must be arrays")
-        atoms = _parse_rows(atoms_raw, "atom", ("location", "mass"), "pair")
-        segments = _parse_rows(segments_raw, "segment", ("left", "right", "rise"), "triple")
+        numbers: dict[str, Fraction] = {}
+        atoms = _parse_rows(atoms_raw, "atom", ("location", "mass"), "pair", numbers)
+        segments = _parse_rows(
+            segments_raw, "segment", ("left", "right", "rise"), "triple", numbers
+        )
         try:
             return Piecewise(atoms, segments)
         except ValueError as exc:

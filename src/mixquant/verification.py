@@ -204,10 +204,12 @@ def monte_carlo_quantile(m: MixtureSpec, p, n: int, seed: int) -> float:
     import numpy as np
 
     rank = math.ceil(n * p)
-    # The order statistic ignores draw order, so the draws stay unscattered.
+    # The order statistic ignores draw order, so the draws stay unscattered,
+    # and their concatenation is selected in place, with no second copy.
     _, x_draws, y_draws = _draws(m, n, seed)
     draws = np.concatenate((x_draws, y_draws))
-    return float(np.partition(draws, rank - 1)[rank - 1])
+    draws.partition(rank - 1)
+    return float(draws[rank - 1])
 
 
 # -- randomized instances --------------------------------------------------------

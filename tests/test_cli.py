@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -441,6 +442,14 @@ def test_verify_small_run_passes(spec_file, capsys):
     assert doc["count"] == 25
     assert doc["failures"] == []
     assert sum(doc["census"].values()) == 25
+
+
+def test_verify_machine_output_is_pinned(capsys):
+    # The default output must stay byte-identical (acceptance criterion 9):
+    # the sha256 of 2,000 instances' machine output, as printed.
+    assert main(["--format", "machine", "verify", "--count", "2000", "--seed", "1"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "190cca992c6a672c7470f0965fe60a16d43d404c3f6d85a54c58ca52f67a0fc4"
 
 
 def test_verify_text_mode_prints_census(capsys):

@@ -302,12 +302,39 @@ def _piecewise(atoms, segments=()):
             {"kind": "uniform", "a": 2, "b": 1},
             "invalid uniform literal: uniform needs finite a < b, got [2.0, 1.0]",
         ),
+        # Equal strings parse once per literal, but only strings: JSON true
+        # equals 1 as a key and is still rejected, and a string that failed
+        # is reported again where it first stands.
+        (
+            parse_distribution,
+            _piecewise([[1, "1/2"], ["2", True]]),
+            "atom 1 mass: expected a number, got True",
+        ),
+        (
+            parse_distribution,
+            _piecewise([["0", "1/2"], ["1e0", "1/2"]], [["1e0", "2", "1"]]),
+            "atom 1 location: '1e0' is not a plain decimal or n/d ratio "
+            "(scientific notation is rejected)",
+        ),
     ],
 )
 def test_malformed_literal_messages(parse, doc, message):
     with pytest.raises(SpecParseError) as caught:
         parse(doc)
     assert str(caught.value) == message
+
+
+def test_equal_number_strings_parse_to_one_fraction():
+    # A shared end arrives as one object, so the build and the mixture walk
+    # tell it by identity instead of comparing two equal Fractions.
+    d = parse_distribution(
+        _piecewise([["1", "1/4"]], [["0", "1", "1/4"], ["1", "2", "1/2"]])
+    )
+    (_, right, rise), (left, _, _) = d.segments
+    (loc, mass), = d.atoms
+    assert right is left and loc is left and rise is mass
+    again = parse_distribution(_piecewise([["1", "1"]]))
+    assert again.atoms[0][0] == left and again.atoms[0][0] is not left
 
 
 def test_parse_rejects_raw_floats_in_piecewise():

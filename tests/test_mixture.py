@@ -467,25 +467,97 @@ def test_numeric_quantile_stops_at_its_bisection_width(q, x, y):
         assert not reached(math.nextafter(s, -math.inf), p), (k, s)
 
 
+def _probes(flip):
+    """Probes whose predicate is ``x >= flip``: the predicate itself, then
+    gaps whose ``gap >= 0`` is that predicate, some built to mislead the
+    interpolation.  Where the predicate fails a nan gap is allowed, since
+    ``nan >= 0`` is false."""
+
+    def linear(x):
+        return 0.0 if x == flip else x - flip
+
+    def capped(x):
+        return math.copysign(1e300, linear(x)) if abs(linear(x)) > 1.0 else linear(x)
+
+    def non_finite(x):
+        odd = hash(x) % 2
+        if x >= flip:
+            return math.inf if odd else 2.0
+        return math.nan if odd else -math.inf
+
+    return {
+        "predicate": lambda x: x >= flip,
+        "linear": linear,
+        "step": lambda x: 1.0 if x >= flip else -1.0,
+        "huge below": lambda x: 1e-300 if x >= flip else -1e300,
+        "huge above": lambda x: 1e300 if x >= flip else -1e-300,
+        "huge tails": capped,
+        "non-finite": non_finite,
+    }
+
+
 @pytest.mark.parametrize(
     "lo, hi",
     [(-math.inf, math.inf), (-1.5e308, 1.5e308), (5e-324, 1.0), (-1.0, -0.0)],
 )
 def test_bisect_float_ends_at_adjacent_floats_within_64_probes(lo, hi):
     # Flips just above lo, inside, and at hi itself; at (-1.0, -0.0) the
-    # flip at 0 leaves hi = -0.0 and lo the negative float next to it.
+    # flip at 0 leaves hi = -0.0 and lo the negative float next to it.  A
+    # predicate halves, so it takes at most 64 probes; gaps take at most
+    # 64 + n0 = 65.  Neither probes an end.
     inside = 0.5 * lo + 0.5 * hi if math.isfinite(hi - lo) else 1.0
     for flip in (math.nextafter(lo, math.inf), inside, hi):
-        probes = []
+        for kind, probe in _probes(flip).items():
+            probes = []
 
-        def pred(x):
-            probes.append(x)
-            return x >= flip
+            def recorded(x):
+                probes.append(x)
+                return probe(x)
 
-        got_lo, got_hi = bisect_float(pred, lo, hi)
-        assert got_hi == flip and math.nextafter(got_lo, math.inf) == got_hi, flip
-        assert got_lo < flip and lo <= got_lo
-        assert len(probes) <= 64, flip
+            got_lo, got_hi = bisect_float(recorded, lo, hi)
+            assert got_hi == flip and math.nextafter(got_lo, math.inf) == got_hi, (flip, kind)
+            assert got_lo < flip and lo <= got_lo, (flip, kind)
+            assert len(probes) <= (64 if kind == "predicate" else 65), (flip, kind)
+            assert lo not in probes and hi not in probes, (flip, kind)
+
+
+def test_gaps_and_halving_end_on_the_same_floats_on_the_parametric_sweep():
+    # numeric_quantile's bracket and gap F_S(x) - p, rebuilt here.
+    from test_parametric_sweep import CASES
+
+    bisected = 0
+    for m, p in CASES[1] + CASES[7919]:
+        q, p = float(m.q), float(p)
+        lo, hi = sorted((float(m.x.quantile(p)), float(m.y.quantile(p))))
+
+        def gap(x):
+            return q * m.x.cdf(x) + (1.0 - q) * m.y.cdf(x) - p
+
+        if gap(lo) >= 0.0:
+            continue
+        bisected += 1
+        assert bisect_float(gap, lo, hi) == bisect_float(lambda x: gap(x) >= 0.0, lo, hi), (m, p)
+    assert bisected > 2000
+
+
+def test_direct_route_probes_at_most_20_times_per_call_on_the_parametric_sweep(monkeypatch):
+    # Halving took 55 probes per call here; the gaps take about 16.
+    from mixquant.distributions import Parametric
+    from test_parametric_sweep import CASES
+
+    cases = CASES[1] + CASES[7919]
+    cdf = Parametric.cdf
+    calls = []
+
+    def counted(self, x):
+        calls.append(x)
+        return cdf(self, x)
+
+    monkeypatch.setattr(Parametric, "cdf", counted)
+    for m, p in cases:
+        direct_quantile(m, p)
+    # Each probe reads both components' CDFs once.
+    assert len(calls) / 2 <= 20 * len(cases)
 
 
 def test_float_bisection_midpoint_stays_finite_at_the_float_range_edge():
@@ -564,3 +636,33 @@ def test_monte_carlo_is_the_order_statistic_of_sample(kind, q):
     ordered = np.sort(sample(m, n, seed=5))
     for p in (F(1, 100), F(1, 2), F(99, 100)):
         assert monte_carlo_quantile(m, p, n, seed=5) == ordered[math.ceil(n * p) - 1]
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (Normal(0.0, 1.0), Exponential(2.0)),
+        (Uniform(-1.0, 2.0), LogNormal(0.0, 1.0)),
+        (Normal(1e9, 3.0), Uniform(0.0, 1e-6)),
+    ],
+    ids=["normal-exponential", "uniform-lognormal", "normal-uniform"],
+)
+def test_monte_carlo_selects_among_its_draws_in_place(x, y):
+    # The draws (8n bytes), the concatenation that is selected in place
+    # (8n) and the indicator mask (n) stay under 2.5 * 8n; a second copy for
+    # the selection would take the peak past 3 * 8n.  Piecewise pairs are
+    # left out: their own ``sample`` temporaries reach 3 * 8n.
+    import tracemalloc
+
+    n = 20_000
+    for q in (F(1, 4), F(1, 2), F(3, 4)):
+        m = MixtureSpec(q, x, y)
+        monte_carlo_quantile(m, F(1, 2), n, seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            monte_carlo_quantile(m, F(1, 2), n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n, (q, peak / (8 * n))
