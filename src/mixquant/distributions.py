@@ -252,11 +252,8 @@ class Piecewise(Distribution):
                     raise ValueError(f"segment [{left}, {right}] must have left < right")
                 if rise.numerator <= 0:
                     raise ValueError(f"segment rise over [{left}, {right}] must be positive")
-                # A shared end is often one object (``parse_distribution``
-                # parses each number string once), which skips the compare.
                 if prev_right is not None and (
-                    f_prev_right > f_left
-                    or f_prev_right == f_left and prev_right is not left and prev_right > left
+                    f_prev_right > f_left or f_prev_right == f_left and prev_right > left
                 ):
                     raise ValueError("segment interiors must be pairwise disjoint")
                 prev_right, f_prev_right = right, f_right

@@ -157,9 +157,9 @@ def _parse_rows(
 
     Each distinct string is parsed once, through ``numbers``, which the
     literal's rows share, so equal numbers arrive as one ``Fraction`` and
-    the build can tell a shared end by identity.  Only strings are keys
-    (JSON ``true`` equals ``1`` as a key and must still be rejected), and
-    only parsed ones are stored.  A row that fails to parse is read again
+    the mixture walk can tell a shared end by identity.  Only strings are
+    keys (JSON ``true`` equals ``1`` as a key and must still be rejected),
+    and only parsed ones are stored.  A row that fails to parse is read again
     with labels, so the message names the row and field; well-formed rows
     build no labels.
     """

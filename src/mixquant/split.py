@@ -32,7 +32,6 @@ from .distributions import (
     Piecewise,
     QuantilePiece,
     RealLike,
-    _float_key,
     as_fraction,
     close,
 )
@@ -244,40 +243,23 @@ def _refine_cell(
 
 
 def _solve_split_numeric(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Fraction):
-    """Float search for alpha*, given the ordering fails at a_lo and holds at a_hi.
+    """Float bisection for alpha*, given the ordering fails at a_lo and holds at a_hi.
 
     The probes see q and p as floats, so each one runs in float arithmetic,
-    and the bracket shrinks to adjacent floats.  Each probe hands
-    ``bisect_float`` the gap float(Qx) - float(Qy) to place the next one.
+    and the bracket shrinks to adjacent floats.
     """
-    q, p_float = float(m.q), float(p)
-
-    def gap(alpha: float) -> float:
-        qx, qy = m.x.quantile(alpha), m.y.quantile(_beta_of(q, p_float, alpha))
-        d = _float_of(qx) - _float_of(qy)
-        # The side is the exact ordering, as ``_holds`` decides it.  The
-        # float gap can round to 0 against it on a mixed pair, or be nan
-        # where both quantiles are one infinity: an infinite gap of the
-        # right sign says so and makes the search halve there.
-        if qx >= qy:
-            return d if d >= 0.0 else math.inf
-        return d if d < 0.0 else -math.inf
+    holds = partial(_holds, m, float(m.q), float(p))
 
     def objective(alpha) -> ExtendedReal:
         return max(m.x.quantile(alpha), m.y.quantile(_beta_of(m.q, p, alpha)))
 
-    lo, hi = bisect_float(gap, float(a_lo), float(a_hi))
+    lo, hi = bisect_float(holds, float(a_lo), float(a_hi))
     # Every feasible alpha has F_S(max{Qx(alpha), Qy(beta(alpha))}) >= p, so
     # the candidate with the smaller max gives the better quantile; lo wins
     # when the infimum is not attained, e.g. where Qx jumps up from -inf at
-    # level 0.  An exact range end is a candidate only when the search
+    # level 0.  An exact range end is a candidate only when the bisection
     # ended within rounding of it: then alpha* is that end, whose exact beta
     # may sit on a jump that the float one misses by an epsilon.  A far end
     # is not alpha*, and on a tie it would report a level off the crossing.
     ends = [e for e, near in ((a_lo, lo), (a_hi, hi)) if abs(near - e) <= LEVEL_ROUNDING]
     return min(ends + [lo, hi], key=objective)
-
-
-def _float_of(value: ExtendedReal) -> float:
-    """A quantile as a float; a ``Fraction`` beyond the float range is +-inf."""
-    return value if isinstance(value, float) else _float_key(value)

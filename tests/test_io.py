@@ -325,8 +325,8 @@ def test_malformed_literal_messages(parse, doc, message):
 
 
 def test_equal_number_strings_parse_to_one_fraction():
-    # A shared end arrives as one object, so the build and the mixture walk
-    # tell it by identity instead of comparing two equal Fractions.
+    # A shared end arrives as one object, so the mixture walk tells it by
+    # identity instead of comparing two equal Fractions.
     d = parse_distribution(
         _piecewise([["1", "1/4"]], [["0", "1", "1/4"], ["1", "2", "1/2"]])
     )

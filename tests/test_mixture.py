@@ -467,11 +467,10 @@ def test_numeric_quantile_stops_at_its_bisection_width(q, x, y):
         assert not reached(math.nextafter(s, -math.inf), p), (k, s)
 
 
-def _probes(flip):
-    """Probes whose predicate is ``x >= flip``: the predicate itself, then
-    gaps whose ``gap >= 0`` is that predicate, some built to mislead the
-    interpolation.  Where the predicate fails a nan gap is allowed, since
-    ``nan >= 0`` is false."""
+def _gaps(flip):
+    """Gaps whose ``gap >= 0`` is the predicate ``x >= flip``, some built to
+    mislead the interpolation.  Where the predicate fails a nan gap is
+    allowed, since ``nan >= 0`` is false."""
 
     def linear(x):
         return 0.0 if x == flip else x - flip
@@ -486,7 +485,6 @@ def _probes(flip):
         return math.nan if odd else -math.inf
 
     return {
-        "predicate": lambda x: x >= flip,
         "linear": linear,
         "step": lambda x: 1.0 if x >= flip else -1.0,
         "huge below": lambda x: 1e-300 if x >= flip else -1e300,
@@ -496,29 +494,47 @@ def _probes(flip):
     }
 
 
-@pytest.mark.parametrize(
+_BRACKETS = pytest.mark.parametrize(
     "lo, hi",
     [(-math.inf, math.inf), (-1.5e308, 1.5e308), (5e-324, 1.0), (-1.0, -0.0)],
 )
-def test_bisect_float_ends_at_adjacent_floats_within_64_probes(lo, hi):
-    # Flips just above lo, inside, and at hi itself; at (-1.0, -0.0) the
-    # flip at 0 leaves hi = -0.0 and lo the negative float next to it.  A
-    # predicate halves, so it takes at most 64 probes; gaps take at most
-    # 64 + n0 = 65.  Neither probes an end.
+
+
+def _assert_closes_at_flip(probe, lo, hi, flip, max_probes, label):
+    probes = []
+
+    def recorded(x):
+        probes.append(x)
+        return probe(x)
+
+    got_lo, got_hi = bisect_float(recorded, lo, hi)
+    assert got_hi == flip and math.nextafter(got_lo, math.inf) == got_hi, (flip, label)
+    assert got_lo < flip and lo <= got_lo, (flip, label)
+    assert len(probes) <= max_probes, (flip, label)
+    assert lo not in probes and hi not in probes, (flip, label)
+
+
+def _flips(lo, hi):
+    # Just above lo, inside, and at hi itself; at (-1.0, -0.0) the flip at 0
+    # leaves hi = -0.0 and lo the negative float next to it.
     inside = 0.5 * lo + 0.5 * hi if math.isfinite(hi - lo) else 1.0
-    for flip in (math.nextafter(lo, math.inf), inside, hi):
-        for kind, probe in _probes(flip).items():
-            probes = []
+    return (math.nextafter(lo, math.inf), inside, hi)
 
-            def recorded(x):
-                probes.append(x)
-                return probe(x)
 
-            got_lo, got_hi = bisect_float(recorded, lo, hi)
-            assert got_hi == flip and math.nextafter(got_lo, math.inf) == got_hi, (flip, kind)
-            assert got_lo < flip and lo <= got_lo, (flip, kind)
-            assert len(probes) <= (64 if kind == "predicate" else 65), (flip, kind)
-            assert lo not in probes and hi not in probes, (flip, kind)
+@_BRACKETS
+def test_bisect_float_ends_at_adjacent_floats_within_64_probes(lo, hi):
+    # A predicate halves the ranks, and never probes an end.
+    for flip in _flips(lo, hi):
+        _assert_closes_at_flip(lambda x: x >= flip, lo, hi, flip, 64, "predicate")
+
+
+@_BRACKETS
+def test_bisect_float_gaps_end_at_adjacent_floats_within_65_probes(lo, hi):
+    # Gaps drive ITP, whose worst case is 64 + n0 = 65 probes on these
+    # brackets, with no end probed, however the gaps mislead it.
+    for flip in _flips(lo, hi):
+        for kind, gap in _gaps(flip).items():
+            _assert_closes_at_flip(gap, lo, hi, flip, 65, kind)
 
 
 def test_gaps_and_halving_end_on_the_same_floats_on_the_parametric_sweep():

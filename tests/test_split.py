@@ -458,11 +458,11 @@ def test_mixed_split_keeps_an_exact_end_exact():
         assert cross_check(mm, p, grid).failures == ()
 
 
-def test_mixed_split_judges_a_gap_that_rounds_to_zero_exactly():
+def test_mixed_split_judges_the_ordering_exactly_where_floats_tie():
     # Qx is an atom c a hair below 1 and Qy(beta) = 2*beta.  At alpha = 1/2
-    # the float gap float(c) - Qy = 1.0 - 1.0 is 0, yet Qx < Qy exactly, so
-    # the ordering fails there and first holds one float up, where Qy < c
-    # and s_p = c.  Taking the rounded gap's sign would answer 1.0.
+    # float(c) - Qy = 1.0 - 1.0 is 0, yet Qx < Qy exactly, so the ordering
+    # fails there and first holds one float up, where Qy < c and s_p = c.
+    # Judging the ordering by that rounded difference would answer 1.0.
     c = 1 - F(1, 10**30)
     m = MixtureSpec(F(1, 2), Piecewise.point_mass(c), Uniform(0.0, 2.0))
     sol = split_quantile(m, F(1, 2))
