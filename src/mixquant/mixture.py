@@ -240,10 +240,10 @@ def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
 
     Works for any component pair (the CDFs only need to be evaluable).  The
     crossing is bracketed by the component quantiles at p and narrowed by
-    ``bisect_float`` down to adjacent floats, so the answer reaches p and the
-    float below it does not.  ``direct_quantile``'s exact route over
-    ``MixtureSpec.pieces`` is preferable whenever both components are
-    piecewise.
+    ``bisect_float``, which probes the lower one first, to adjacent floats,
+    so the answer reaches p and the float below it does not.  The exact
+    route of ``direct_quantile`` over ``MixtureSpec.pieces`` is preferable
+    whenever both components are piecewise.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -259,12 +259,9 @@ def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
 
     qx = float(m.x.quantile(p))
     qy = float(m.y.quantile(p))
-    lo, hi = min(qx, qy), max(qx, qy)
-    # F_S(hi) >= q*p + (1-q)*p = p, and below lo both CDFs fall short of p,
-    # so the crossing lies in [lo, hi].
-    if gap(lo) >= 0.0:
-        return lo
-    return bisect_float(gap, lo, hi)[1]
+    # F_S >= q*p + (1-q)*p = p at the larger, and below the smaller both
+    # CDFs fall short of p, so the crossing lies between them.
+    return bisect_float(gap, min(qx, qy), max(qx, qy))[1]
 
 
 #: ITP constants (Oliveira and Takahashi, "An enhancement of the bisection
@@ -279,31 +276,32 @@ _ITP_N0 = 1
 def bisect_float(probe, lo: float, hi: float) -> tuple[float, float]:
     """Shrink ``[lo, hi]`` to adjacent floats around the flip of a monotone predicate.
 
-    ``probe(x)`` returns the predicate, which must be false at ``lo`` and
-    true at ``hi``; both stay so.  A probe may instead return a float gap
-    whose ``gap >= 0`` is exactly the predicate; the gap only places the
-    next probe.  Each probe lies in the ranks of the floats between the
-    ends, not in their values, so any bracket, even ``(-inf, inf)``, closes.
+    ``probe(x)`` returns the predicate, which must be true at ``hi``.  The
+    first probe reads ``lo``, once: where it holds the result is ``(lo, lo)``.
+    Otherwise the ends stay false and true, ``hi`` is never probed, and each
+    later probe lies in the ranks of the floats between the ends, not in
+    their values, so any bracket, even ``(-inf, inf)``, closes.  A probe may
+    instead return a float gap whose ``gap >= 0`` is exactly the predicate;
+    the gap only places the next probe.
 
-    A predicate halves the ranks: at most ``n_half = ceil(log2(w0))``
+    A predicate then halves the ranks: at most ``n_half = ceil(log2(w0))``
     probes, where ``w0`` is the ends' rank distance.  Gaps drive the ITP
     method: the regula falsi point in value space, mapped to a rank,
     truncated toward the rank midpoint and projected into the radius
     ``2**(n_half + _ITP_N0 - j - 1) - ceil(w/2)`` around it at probe ``j``
     and rank width ``w``, which keeps the worst case at ``n_half + _ITP_N0
-    <= 65`` probes.  The ends themselves are never probed, so the probe
-    halves until a probe has replaced each end, and wherever an end's gap
-    is not finite.
+    <= 65`` probes after ``lo``'s.  The probe halves until a probe has
+    replaced ``hi``, whose gap is unknown, and wherever a gap is not finite.
     """
     lo_rank, hi_rank = _rank(lo), _rank(hi)
     w0 = hi_rank - lo_rank
     n_max = (w0 - 1).bit_length() + _ITP_N0
     # nan until a gap replaces the end, and for good with a boolean probe.
     lo_gap = hi_gap = math.nan
-    j = 0
-    while (w := hi_rank - lo_rank) > 1:
+    j = -1  # the pass that probes lo
+    while (w := hi_rank - lo_rank) > 1 or j < 0:
         mid_rank = (lo_rank + hi_rank) // 2
-        rank = mid_rank
+        rank = lo_rank if j < 0 else mid_rank
         if -math.inf < lo_gap < 0.0 <= hi_gap < math.inf:
             # The regula falsi point, in value space and mapped to a rank.
             x = lo + lo_gap / (lo_gap - hi_gap) * (hi - lo)

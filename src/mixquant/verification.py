@@ -416,10 +416,10 @@ def cross_check(
     """Run one instance through the split path, oracles, and all invariants.
 
     The grid oracle runs only when ``grid_cfg`` is given (it is by far the
-    most expensive check).  Mixed piecewise/parametric pairs skip direct
-    inversion and classification; the grid oracle is their reference.  At
-    q in {0, 1}, where one component answers alone, they and the bracketing
-    are skipped.  Float verdicts use ``leq``/``close``, with ``LEVEL_ROUNDING``
+    most expensive check).  Mixed piecewise/parametric pairs skip
+    classification.  At q in {0, 1}, where one component answers alone,
+    direct inversion, classification and the bracketing are skipped.
+    Float verdicts use ``leq``/``close``, with ``LEVEL_ROUNDING``
     for the level sums only rounding moves: the split identity and p <= F_S(s_p).
     """
     p = as_fraction(p)
@@ -431,7 +431,7 @@ def cross_check(
 
     # Dual route: direct CDF inversion.
     direct_value = exact_match = deviation = None
-    if two_sided:
+    if m.lone is None:
         direct_value = direct_quantile(m, p)
         if exact:
             exact_match = s_p == direct_value

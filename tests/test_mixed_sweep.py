@@ -7,8 +7,8 @@ overlaps the generator's lattice.  The weight is drawn from {1/4, 1/4, 1/4,
 1/2, 3/4}, the sides come in random order, and the level is the instance's.
 The pairs are rebuilt here, as ``test_parametric_sweep`` rebuilds its own.
 
-Every pair must pass ``cross_check`` without a grid, and the split must
-agree with direct inversion up to ``FLOAT_TOL``.
+Every pair must pass ``cross_check`` without a grid, which holds the split
+against direct inversion too.
 """
 
 import random
@@ -16,8 +16,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from mixquant.distributions import Exponential, Normal, Uniform, close
-from mixquant.mixture import MixtureSpec, direct_quantile
+from mixquant.distributions import Exponential, Normal, Uniform
+from mixquant.mixture import MixtureSpec
 from mixquant.verification import InstanceGenConfig, cross_check, generate_instance
 
 COUNT = 1500
@@ -50,12 +50,7 @@ CASES = mixed_cases()
 
 def problems(m, p):
     """What the checks hold against the split of ``m`` at ``p``."""
-    report = cross_check(m, p)
-    found = list(report.failures)
-    direct = direct_quantile(m, p)
-    if not close(report.s_p, direct, False):
-        found.append(f"split {report.s_p} != direct {direct}")
-    return found
+    return list(cross_check(m, p).failures)
 
 
 @pytest.mark.parametrize(
