@@ -32,6 +32,7 @@ from .distributions import (
     Piecewise,
     QuantilePiece,
     RealLike,
+    _float_key,
     as_fraction,
     close,
 )
@@ -145,10 +146,12 @@ def _reach_level(m: MixtureSpec, p: Fraction, s_p: ExtendedReal) -> ExtendedReal
 
     The float bisection can end one float short of the crossing; at most
     ``_MAX_ULP_STEPS`` steps mend that.  F_S may fall short of p by
-    ``LEVEL_ROUNDING``, and a non-finite ``s_p`` is left as it is.
+    ``LEVEL_ROUNDING``, and an ``s_p`` beyond the float range, exact ones
+    included, is left as it is.
     """
     for _ in range(_MAX_ULP_STEPS):
-        if not math.isfinite(s_p) or mixture_cdf(m, s_p) >= p - LEVEL_ROUNDING:
+        f_s = _float_key(s_p) if isinstance(s_p, Fraction) else s_p
+        if not math.isfinite(f_s) or mixture_cdf(m, s_p) >= p - LEVEL_ROUNDING:
             break
         s_p = math.nextafter(s_p, math.inf)
     return s_p

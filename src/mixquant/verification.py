@@ -418,7 +418,9 @@ def cross_check(
     The grid oracle runs only when ``grid_cfg`` is given (it is by far the
     most expensive check).  Mixed piecewise/parametric pairs skip
     classification.  At q in {0, 1}, where one component answers alone,
-    direct inversion, classification and the bracketing are skipped.
+    direct inversion, classification and the bracketing are skipped.  A
+    ``DomainError`` of a route is raised, not reported: direct inversion
+    raises one on a mixed pair whose piecewise quantile at p has no float.
     Float verdicts use ``leq``/``close``, with ``LEVEL_ROUNDING``
     for the level sums only rounding moves: the split identity and p <= F_S(s_p).
     """

@@ -572,6 +572,23 @@ def test_normal_quantile_beyond_the_float_range_exits_3(spec_file, capsys):
         assert "float range" in capsys.readouterr().err
 
 
+def test_piecewise_atom_past_the_float_range(spec_file, tmp_path, capsys):
+    # The split answers the atom at 10**400 exactly; curve's direct inversion
+    # has no float for it and exits 3.
+    doc = {
+        "q": "0.5",
+        "X": {"kind": "piecewise", "atoms": [["0", "0.5"], [str(10**400), "0.5"]], "segments": []},
+        "Y": {"kind": "normal", "mu": 0, "sigma": 1},
+    }
+    spec = spec_file(doc)
+    assert main(["quantile", "--spec", spec, "--p", "0.9"]) == 0
+    assert capsys.readouterr().out.startswith(f"s_p = {10**400}\n")
+    out = str(tmp_path / "curve.csv")
+    argv = ["curve", "--spec", spec, "--from", "-1", "--to", "1", "--steps", "3", "--out", out]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_non_ascii_digits_exit_2(spec_file, capsys):
     arabic_q = spec_file(dict(TWO_ATOMS, q="\u0661/\u0662"))
     assert main(["quantile", "--spec", arabic_q, "--p", "0.5"]) == 2

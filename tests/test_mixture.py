@@ -427,6 +427,20 @@ def test_numeric_quantile_returns_the_lower_bracket_end_once_reached():
     assert numeric_quantile(m.swapped(), F(1, 2)) == 0.0
 
 
+def test_numeric_quantile_rejects_a_component_quantile_past_the_float_range():
+    # Qx(3/4) is the atom at 10**400.  A search up to inf would answer where
+    # Phi rounds to 1 (about 8.29), far below the true quantile 10**400.
+    from mixquant.verification import cross_check
+
+    m = MixtureSpec(F(1, 2), Piecewise([(0, F(1, 2)), (10**400, F(1, 2))], []), Normal(0, 1))
+    for p in (F(3, 4), F(9, 10)):
+        for mm in (m, m.swapped()):
+            for route in (direct_quantile, numeric_quantile, cross_check):
+                with pytest.raises(DomainError, match="float range"):
+                    route(mm, p)
+    assert direct_quantile(m, F(1, 2)) == 0.0
+
+
 def test_numeric_quantile_stops_at_adjacent_floats_far_from_zero():
     # Near 1e9 one float step is about 1.2e-7; the bracket still ends as two
     # adjacent floats.

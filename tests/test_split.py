@@ -458,6 +458,16 @@ def test_mixed_split_keeps_an_exact_end_exact():
         assert cross_check(mm, p, grid).failures == ()
 
 
+def test_mixed_split_answers_an_atom_past_the_float_range_exactly():
+    # F_S stays below 3/4 on [0, 10**400), where Phi < 1, and reaches 1 at
+    # the atom: s_p is 10**400, which has no float.
+    m = MixtureSpec(F(1, 2), _pw([("0", "1/2"), (str(10**400), "1/2")], []), Normal(0, 1))
+    for p in (F(3, 4), F(9, 10)):
+        for mm in (m, m.swapped()):
+            s_p = split_quantile(mm, p).s_p
+            assert isinstance(s_p, F) and s_p == 10**400
+
+
 def test_mixed_split_judges_the_ordering_exactly_where_floats_tie():
     # Qx is an atom c a hair below 1 and Qy(beta) = 2*beta.  At alpha = 1/2
     # float(c) - Qy = 1.0 - 1.0 is 0, yet Qx < Qy exactly, so the ordering
