@@ -380,12 +380,15 @@ class Piecewise(Distribution):
             [float(piece.lev_hi - piece.lev_lo) for piece in self._pieces]
         )
         weights /= weights.sum()
-        lefts = np.array([float(piece.x_left) for piece in self._pieces])
         widths = np.array(
             [float(piece.x_right - piece.x_left) for piece in self._pieces]
         )
         idx = rng.choice(len(self._pieces), size=n, p=weights)
-        return lefts[idx] + rng.random(n) * widths[idx]
+        # In place, so at most one n-sized temporary lives beside idx and out.
+        out = rng.random(n)
+        out *= widths[idx]
+        out += np.asarray(self._x_lefts)[idx]
+        return out
 
     def __repr__(self) -> str:
         parts = []
