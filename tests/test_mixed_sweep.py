@@ -8,7 +8,8 @@ overlaps the generator's lattice.  The weight is drawn from {1/4, 1/4, 1/4,
 The pairs are rebuilt here, as ``test_parametric_sweep`` rebuilds its own.
 
 Every pair must pass ``cross_check`` without a grid, which holds the split
-against direct inversion too.
+against direct inversion too, and both routes' answers are pinned bit for
+bit by a digest.
 """
 
 import random
@@ -19,6 +20,8 @@ import pytest
 from mixquant.distributions import Exponential, Normal, Uniform
 from mixquant.mixture import MixtureSpec
 from mixquant.verification import InstanceGenConfig, cross_check, generate_instance
+
+from test_parametric_sweep import answers_digest
 
 COUNT = 1500
 #: A plateau level: float F_S(0) rounds up to p exactly, while the true F_S
@@ -48,17 +51,19 @@ def mixed_cases():
 CASES = mixed_cases()
 
 
-def problems(m, p):
-    """What the checks hold against the split of ``m`` at ``p``."""
-    return list(cross_check(m, p).failures)
-
-
 @pytest.mark.parametrize(
-    "indices",
+    "indices, split_digest, direct_digest",
     [
-        pytest.param([i for i in range(COUNT) if i != PLATEAU], id="census"),
+        pytest.param(
+            [i for i in range(COUNT) if i != PLATEAU],
+            "8b408bafa590220953513ef8f264cde2c5b1b0db8fc683b6ea429300e2b5df62",
+            "fc0de44f94ae3b8cf6422c7895e77959a9c17e593bb7f2f6a6f8acbd3ce950f3",
+            id="census",
+        ),
         pytest.param(
             [PLATEAU],
+            "c7fde9dc1b1ecf82f3413bd32e99eace34879adc463b92333ab4c363efc354d1",
+            "5115bc31220cf877e22a0215afa46229e75cbd49cdae4edf75f38a806118cf24",
             id="plateau",
             marks=pytest.mark.xfail(
                 strict=True,
@@ -67,6 +72,14 @@ def problems(m, p):
         ),
     ],
 )
-def test_mixed_pairs_pass_cross_check_and_match_direct_inversion(indices):
-    misses = [(i, why) for i in indices for why in [problems(*CASES[i])] if why]
+def test_mixed_pairs_pass_cross_check_and_match_direct_inversion(
+    indices, split_digest, direct_digest
+):
+    # The answers are ``answers_digest`` rows: the split's s_p, alpha* and
+    # beta*, and the direct answer, both read from the report.
+    reports = [cross_check(*CASES[i]) for i in indices]
+    split_rows = [(r.s_p, r.solution.alpha_star, r.solution.beta_star) for r in reports]
+    assert answers_digest(split_rows) == split_digest
+    assert answers_digest((r.direct_value,) for r in reports) == direct_digest
+    misses = [(i, r.failures) for i, r in zip(indices, reports) if r.failures]
     assert misses == []

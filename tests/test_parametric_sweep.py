@@ -11,9 +11,11 @@ formulas: an answer ``s`` must reach p up to ``LEVEL_ROUNDING``, and the
 mixture must fall short of p at twice the position tolerance below ``s``.
 Every Uniform pair is also compared with its exact ``Piecewise.uniform``
 twin.  The direct route bisects to adjacent floats, so its answer is the
-first float at which the components' own float CDFs reach p.
+first float at which the components' own float CDFs reach p.  Each route's
+answers at each seed are pinned bit for bit by a digest.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -147,22 +149,49 @@ def violation(m, p, s):
     return None
 
 
+def answers_digest(rows):
+    """sha256 of answer rows, one line each: floats by ``float.hex``, exact
+    values by ``str``."""
+    h = hashlib.sha256()
+    for row in rows:
+        h.update((" ".join(v.hex() if isinstance(v, float) else str(v) for v in row) + "\n").encode())
+    return h.hexdigest()
+
+
+def _split_row(m, p):
+    sol = split_quantile(m, p)
+    return sol.s_p, sol.alpha_star, sol.beta_star
+
+
+#: Each route's answer row per case; the first entry is the quantile.
+ROUTES = {"direct": lambda m, p: (direct_quantile(m, p),), "split": _split_row}
+
+#: ``answers_digest`` of every route's rows at every seed.
+DIGESTS = {
+    (1, "direct"): "8d6c5b5969dfd1a0c0be8432550a593560a0ee264a48b489d2c34ecbb484caf0",
+    (1, "split"): "d0d12f822045a4c059c28b42a3c2eb95cc6beb9dfed0092c8986d701133accf6",
+    (7919, "direct"): "2dc5cfb42aa68e6df68cf0f7ee290e4b6d889b1944d7123c7fa794631579f586",
+    (7919, "split"): "50399aefabf079597e742d0e9ae22ac6d90721523a075346d40a024f3b149a56",
+}
+
+
 def test_the_sweep_covers_every_cell():
     for seed in SEEDS:
         assert len(CASES[seed]) == 2 * len(MAKERS) * len(SCALES) * PER_CELL == 1232
 
 
-@pytest.mark.parametrize("route", [direct_quantile, lambda m, p: split_quantile(m, p).s_p], ids=["direct", "split"])
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_float_routes_reach_the_level_and_not_earlier(seed, route):
+    rows = [ROUTES[route](m, p) for m, p in CASES[seed]]
     misses = [
         (m, p, s, why)
-        for m, p in CASES[seed]
-        for s in [route(m, p)]
+        for (m, p), (s, *_) in zip(CASES[seed], rows)
         for why in [violation(m, p, s)]
         if why is not None
     ]
     assert misses == []
+    assert answers_digest(rows) == DIGESTS[seed, route]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
