@@ -376,6 +376,11 @@ class Piecewise(Distribution):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         import numpy as np
 
+        # A support end or width past the float range has no float draws; a
+        # DomainError, as in the grid oracle.
+        lo, hi = self.support_bounds()
+        if not all(math.isfinite(_float_key(v)) for v in (lo, hi, hi - lo)):
+            raise DomainError("piecewise sample support exceeds the float range")
         weights = np.array(
             [float(piece.lev_hi - piece.lev_lo) for piece in self._pieces]
         )

@@ -241,11 +241,12 @@ def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
     Works for any component pair (the CDFs only need to be evaluable).  The
     crossing is bracketed by the component quantiles at p and narrowed by
     ``bisect_float``, which probes the lower one first, to adjacent floats,
-    so the answer reaches p and the float below it does not.  A component
-    quantile beyond the float range raises ``DomainError``, as a parametric
-    one does.  The exact route of ``direct_quantile`` over
-    ``MixtureSpec.pieces`` is preferable whenever both components are
-    piecewise.
+    so the answer reaches p and the float below it does not.  A parametric
+    quantile past the float range is the end +-inf; a piecewise one has no
+    float to end the bracket and raises ``DomainError``, even where the
+    crossing is a float, because the float CDFs cannot place it.  The exact
+    route of ``direct_quantile`` over ``MixtureSpec.pieces`` is preferable
+    whenever both components are piecewise.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -259,15 +260,12 @@ def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
         # the gap's sign is the float predicate F_S(x) >= p.
         return q * float(x_cdf(x)) + r * float(y_cdf(x)) - p
 
-    qx, qy = (
-        _float_key(end) if isinstance(end, Fraction) else end
-        for end in (m.x.quantile(p), m.y.quantile(p))
-    )
-    if math.isinf(qx) or math.isinf(qy):
-        raise DomainError(f"a component quantile at level {p} exceeds the float range")
+    qx, qy = m.x.quantile(p), m.y.quantile(p)
+    if any(isinstance(end, Fraction) and math.isinf(_float_key(end)) for end in (qx, qy)):
+        raise DomainError(f"a piecewise bracket end at level {p} has no float")
     # F_S >= q*p + (1-q)*p = p at the larger, and below the smaller both
     # CDFs fall short of p, so the crossing lies between them.
-    return bisect_float(gap, min(qx, qy), max(qx, qy))[1]
+    return bisect_float(gap, float(min(qx, qy)), float(max(qx, qy)))[1]
 
 
 #: ITP constants (Oliveira and Takahashi, "An enhancement of the bisection

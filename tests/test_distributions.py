@@ -428,6 +428,19 @@ def test_piecewise_sampling_respects_support():
     assert 0.2 < on_atom.mean() < 0.5
 
 
+def test_piecewise_sampling_past_the_float_range_is_a_domain_error():
+    # An atom, a segment end or a support width past the float range.
+    far = 10**400
+    for d in (
+        Piecewise(atoms=[(0, F(1, 2)), (far, F(1, 2))]),
+        Piecewise(atoms=[(-far, F(1, 2))], segments=[(0, 1, F(1, 2))]),
+        Piecewise(segments=[(0, far, F(1))]),
+        Piecewise(segments=[(-1.5e308, 1.5e308, F(1))]),
+    ):
+        with pytest.raises(DomainError, match="float range"):
+            d.sample(10, np.random.default_rng(1))
+
+
 def test_parametric_sampling_matches_family():
     draws = Uniform(3, 4).sample(1000, np.random.default_rng(3))
     assert np.all((draws >= 3) & (draws <= 4))

@@ -8,8 +8,8 @@ overlaps the generator's lattice.  The weight is drawn from {1/4, 1/4, 1/4,
 The pairs are rebuilt here, as ``test_parametric_sweep`` rebuilds its own.
 
 Every pair must pass ``cross_check`` without a grid, which holds the split
-against direct inversion too, and both routes' answers are pinned bit for
-bit by a digest.
+against direct inversion too, and both routes' answers on the census are
+pinned bit for bit by a digest.
 """
 
 import random
@@ -60,10 +60,12 @@ CASES = mixed_cases()
             "fc0de44f94ae3b8cf6422c7895e77959a9c17e593bb7f2f6a6f8acbd3ce950f3",
             id="census",
         ),
+        # No digests: the strict xfail must fail only through ``failures``,
+        # so a fix, which moves this orientation's answer, shows as XPASS.
         pytest.param(
             [PLATEAU],
-            "c7fde9dc1b1ecf82f3413bd32e99eace34879adc463b92333ab4c363efc354d1",
-            "5115bc31220cf877e22a0215afa46229e75cbd49cdae4edf75f38a806118cf24",
+            None,
+            None,
             id="plateau",
             marks=pytest.mark.xfail(
                 strict=True,
@@ -78,8 +80,9 @@ def test_mixed_pairs_pass_cross_check_and_match_direct_inversion(
     # The answers are ``answers_digest`` rows: the split's s_p, alpha* and
     # beta*, and the direct answer, both read from the report.
     reports = [cross_check(*CASES[i]) for i in indices]
-    split_rows = [(r.s_p, r.solution.alpha_star, r.solution.beta_star) for r in reports]
-    assert answers_digest(split_rows) == split_digest
-    assert answers_digest((r.direct_value,) for r in reports) == direct_digest
+    if split_digest is not None:
+        split_rows = [(r.s_p, r.solution.alpha_star, r.solution.beta_star) for r in reports]
+        assert answers_digest(split_rows) == split_digest
+        assert answers_digest((r.direct_value,) for r in reports) == direct_digest
     misses = [(i, r.failures) for i, r in zip(indices, reports) if r.failures]
     assert misses == []

@@ -427,18 +427,36 @@ def test_numeric_quantile_returns_the_lower_bracket_end_once_reached():
     assert numeric_quantile(m.swapped(), F(1, 2)) == 0.0
 
 
-def test_numeric_quantile_rejects_a_component_quantile_past_the_float_range():
-    # Qx(3/4) is the atom at 10**400.  A search up to inf would answer where
-    # Phi rounds to 1 (about 8.29), far below the true quantile 10**400.
+def test_numeric_quantile_rejects_a_piecewise_bracket_end_past_the_float_range():
+    # Qx(p) is the atom at 10**400 from p = 1/2 on.  A search up to inf would
+    # answer where Phi rounds to 1 (about 8.29) at p = 3/4, far below the true
+    # quantile 10**400.  At p = 3/5 the quantile is a float near 0.25, but
+    # the bracket end has no float either.
     from mixquant.verification import cross_check
 
     m = MixtureSpec(F(1, 2), Piecewise([(0, F(1, 2)), (10**400, F(1, 2))], []), Normal(0, 1))
-    for p in (F(3, 4), F(9, 10)):
+    for p in (F(3, 5), F(3, 4), F(9, 10)):
         for mm in (m, m.swapped()):
             for route in (direct_quantile, numeric_quantile, cross_check):
-                with pytest.raises(DomainError, match="float range"):
+                with pytest.raises(DomainError, match="bracket end"):
                     route(mm, p)
     assert direct_quantile(m, F(1, 2)) == 0.0
+
+
+def test_numeric_quantile_searches_up_to_a_parametric_quantile_of_inf():
+    # Qx(9/10) = -log1p(-0.9)/1e-308 overflows to inf; the crossing is the
+    # float near 1.6e308 where F_S first reaches 9/10.
+    from mixquant.verification import cross_check
+
+    m = MixtureSpec(F(1, 2), Exponential(1e-308), Normal(0, 1))
+    assert m.x.quantile(F(9, 10)) == math.inf
+    for mm in (m, m.swapped()):
+        assert direct_quantile(mm, F(9, 10)) == float.fromhex("0x1.ca6214ff8ff41p+1023")
+        report = cross_check(mm, F(9, 10))
+        # The cell relation s_p = Q(beta*) fails here (beta* rounds to
+        # 1 - 2**-53, whose normal quantile is about 8.21); the split and
+        # direct inversion agree.
+        assert [f for f in report.failures if not f.startswith("cell 1a relations")] == []
 
 
 def test_numeric_quantile_stops_at_adjacent_floats_far_from_zero():
