@@ -135,6 +135,17 @@ def _float_key(value: Fraction) -> float:
         return POS_INF if value > 0 else NEG_INF
 
 
+def _level_sum(cum: Fraction, num: int, den: int) -> Fraction:
+    """``cum + num/den`` for ``den > 0``, summed on integers: one reduced ``Fraction``.
+
+    The build and the mixture walk keep each addend as an unreduced integer
+    pair and store only the levels this returns, so each stored level costs
+    one ``gcd`` (the constructor's) instead of several ``Fraction`` operations.
+    """
+    d = cum.denominator
+    return Fraction(cum.numerator * den + num * d, d * den)
+
+
 def _find_cut(pieces, cuts: array, key, value: Fraction, find) -> int:
     """``find(pieces, value, key=key)``, decided on the float copies ``cuts``.
 
@@ -239,7 +250,9 @@ class Piecewise(Distribution):
         # it.  So at a shared point the stretch ending there comes first, then
         # the atom, then the stretch starting there.  The final None takes
         # the atoms past the last segment.  ``fx`` is the float of ``x``, the
-        # left end of the stretch being built, and fills ``_x_lefts``.
+        # left end of the stretch being built, and fills ``_x_lefts``.  A
+        # stretch from x to b rises (b - x)/slope, summed on the integer pairs
+        # of x, b and the slope by ``_level_sum``.
         pieces: list[QuantilePiece] = []
         x_lefts = array("d")
         cum = _ZERO
@@ -252,12 +265,17 @@ class Piecewise(Distribution):
                     raise ValueError(f"segment [{left}, {right}] must have left < right")
                 if rise.numerator <= 0:
                     raise ValueError(f"segment rise over [{left}, {right}] must be positive")
-                if prev_right is not None and (
+                # The parser hands a shared end over as one object.
+                if prev_right is not None and prev_right is not left and (
                     f_prev_right > f_left or f_prev_right == f_left and prev_right > left
                 ):
                     raise ValueError("segment interiors must be pairwise disjoint")
                 prev_right, f_prev_right = right, f_right
-                x, fx, rest, slope = left, f_left, rise, (right - left) / rise
+                x, fx = left, f_left
+                xn, xd = left.numerator, left.denominator
+                rn, rd = right.numerator, right.denominator
+                slope = Fraction((rn * xd - xn * rd) * rise.denominator, rd * xd * rise.numerator)
+                sn, sd = slope.numerator, slope.denominator
             while i < n_atoms:
                 f_loc, loc, mass = atom_rows[i]
                 if seg is not None and not (f_loc < f_right or f_loc == f_right and loc < right):
@@ -269,17 +287,17 @@ class Piecewise(Distribution):
                     raise ValueError(f"duplicate atom location {loc}")
                 prev_loc, f_prev_loc = loc, f_loc
                 if seg is not None and (f_loc > fx or f_loc == fx and loc > x):
-                    part = (loc - x) / slope
-                    top = cum + part
+                    ln, ld = loc.numerator, loc.denominator
+                    top = _level_sum(cum, (ln * xd - xn * ld) * sd, ld * xd * sn)
                     pieces.append(QuantilePiece(cum, top, x, loc, slope))
                     x_lefts.append(fx)
-                    cum, rest, x, fx = top, rest - part, loc, f_loc
-                top = cum + mass
+                    cum, x, fx, xn, xd = top, loc, f_loc, ln, ld
+                top = _level_sum(cum, mass.numerator, mass.denominator)
                 pieces.append(QuantilePiece(cum, top, loc, loc, _ZERO))
                 x_lefts.append(f_loc)
                 cum = top
             if seg is not None:
-                top = cum + rest
+                top = _level_sum(cum, (rn * xd - xn * rd) * sd, rd * xd * sn)
                 pieces.append(QuantilePiece(cum, top, x, right, slope))
                 x_lefts.append(fx)
                 cum = top

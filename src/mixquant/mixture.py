@@ -27,6 +27,7 @@ from .distributions import (
     _FLOAT_THEN_EXACT,
     _find_cut,
     _float_key,
+    _level_sum,
     as_fraction,
 )
 
@@ -133,7 +134,8 @@ def _walk_pieces(m: MixtureSpec):
 
     Yields ``(lev_lo, lev_hi, x_left, x_right)`` in level order, the pieces
     of the inverse of the mixture CDF q*F + (1-q)*G.  Each component piece
-    becomes events ``(float x, x, side, value)``: a segment piece sets its
+    becomes events ``(float x, x, side, value)``, each value an unreduced
+    integer pair ``(num, den)`` or None: a segment piece sets its
     side's density ``weight / slope`` at its left end and clears it at its
     right end, and an atom piece (side None) adds the mass
     ``weight * (lev_hi - lev_lo)`` at its point.  One stable sort orders the
@@ -149,17 +151,20 @@ def _walk_pieces(m: MixtureSpec):
     for side, (weight, comp) in enumerate(((m.q, m.x), (1 - m.q, m.y))):
         if not weight:
             continue
+        wn, wd = weight.numerator, weight.denominator
         run = []
         for (lev_lo, lev_hi, x_left, x_right, slope), f_left in zip(
             comp.quantile_pieces(), comp._x_lefts
         ):
             if slope:
                 run += (
-                    (f_left, x_left, side, weight / slope),
+                    (f_left, x_left, side, (wn * slope.denominator, wd * slope.numerator)),
                     (_float_key(x_right), x_right, side, None),
                 )
             else:
-                run.append((f_left, x_left, None, weight * (lev_hi - lev_lo)))
+                hd, ld = lev_hi.denominator, lev_lo.denominator
+                mass = (wn * (lev_hi.numerator * ld - lev_lo.numerator * hd), wd * hd * ld)
+                run.append((f_left, x_left, None, mass))
         runs.append(run)
     events = [event for run in runs for event in run]
     # Each run is in exact order already and the sort is stable, so the
@@ -168,33 +173,42 @@ def _walk_pieces(m: MixtureSpec):
         [event[0] for event in runs[1]]
     )
     events.sort(key=_FLOAT_THEN_EXACT if tied else _FLOAT)
-    # A side's density and the pending mass are None where they are 0.
+    # Densities and masses are summed as unreduced pairs; ``_level_sum``
+    # makes each stored level one reduced ``Fraction``.  A side's density
+    # and the pending mass are None where they are 0.
     active = [None, None]
     cum = _ZERO
     mass = density = f_at = at = None
     for f_x, x, side, value in events:
         if f_x != f_at or x is not at and x != at:
             if mass is not None:
-                top = cum + mass
+                top = _level_sum(cum, *mass)
                 yield cum, top, at, at
                 cum, mass = top, None
             if density is not None:
-                top = cum + density * (x - at)
+                dn, dd = density
+                xd, ad = x.denominator, at.denominator
+                top = _level_sum(cum, dn * (x.numerator * ad - at.numerator * xd), dd * xd * ad)
                 yield cum, top, at, x
                 cum = top
             f_at, at = f_x, x
         if side is None:
-            mass = value if mass is None else mass + value
+            mass = value if mass is None else _pair_sum(mass, value)
         else:
             active[side] = value
             x_density, y_density = active
             density = (
                 x_density if y_density is None
                 else y_density if x_density is None
-                else x_density + y_density
+                else _pair_sum(x_density, y_density)
             )
     if mass is not None:
-        yield cum, cum + mass, at, at
+        yield cum, _level_sum(cum, *mass), at, at
+
+
+def _pair_sum(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a + b on unreduced integer pairs (num, den)."""
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
 
 
 def _checked_level(m: MixtureSpec, p: RealLike) -> Fraction:

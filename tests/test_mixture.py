@@ -39,7 +39,7 @@ from mixquant.mixture import (
 from mixquant.serialization import serialize_mixture
 from mixquant.verification import InstanceGenConfig, generate_instance, monte_carlo_quantile
 
-from reference import ref_cdf, ref_merged, ref_quantile
+from reference import ref_cdf, ref_cdf_left, ref_merged, ref_quantile
 from test_cli import _adjacent_units
 from test_distributions import levels, piecewise_dists, points
 from test_float_filter import FIXTURES
@@ -344,6 +344,26 @@ WALK_CASES = {
         MixtureSpec(F(2, 5), make_x(), make_y())
         for make_x, make_y in itertools.product(FIXTURES.values(), repeat=2)
     ],
+    # Masses over 7, 11 and 13; segments of non-unit width with non-dyadic
+    # and negative ends; atoms strictly inside segments, on shared ends and
+    # at one point of both sides; X's first two levels sum 1/6 + 1/3 = 1/2.
+    "coprime": lambda: [
+        MixtureSpec(
+            F(2, 7),
+            Piecewise(
+                atoms=[(F(-2, 3), F(1, 3)), (F(-1, 7), F(1, 7)), (F(5, 6), F(1, 11))],
+                segments=[
+                    (F(-7, 3), F(-2, 3), F(1, 6)),
+                    (F(-2, 3), F(5, 6), F(3, 13)),
+                    (F(5, 6), F(17, 7), F(71, 2002)),
+                ],
+            ),
+            Piecewise(
+                atoms=[(F(-1, 7), F(2, 11)), (F(1, 3), F(1, 6)), (F(9, 5), F(4, 13))],
+                segments=[(F(-11, 5), F(-1, 7), F(1, 3)), (F(-1, 7), F(9, 5), F(3, 286))],
+            ),
+        )
+    ],
 }
 
 
@@ -358,6 +378,12 @@ def test_walked_pieces_equal_the_merged_pieces(name):
             )
             pieces, cuts = mm.pieces
             assert pieces == expected, mm
+            # Each component's built levels are its CDF at the piece ends,
+            # the left limit where the level stops short of an atom there.
+            for comp in (mm.x, mm.y):
+                for lev_lo, lev_hi, x_left, x_right, slope in comp.quantile_pieces():
+                    low, high = (ref_cdf, ref_cdf_left) if slope else (ref_cdf_left, ref_cdf)
+                    assert (lev_lo, lev_hi) == (low(comp, x_left), high(comp, x_right)), comp
             assert list(cuts) == [float(lev_hi) for _, lev_hi, _, _ in pieces]
             probes = {lev_hi for _, lev_hi, _, _ in pieces[:-1]}
             probes |= {(lev_lo + lev_hi) / 2 for lev_lo, lev_hi, _, _ in pieces}
