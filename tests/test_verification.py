@@ -632,6 +632,20 @@ def test_cross_check_keeps_a_true_gap_at_large_scale(swap):
     assert report.cell_id == ("1b" if swap else "2a")
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 10: beta* = 1 - 2**-53, the float nearest 1, puts Qy(beta*) at "
+    "8.21 while s_p is 1.6e308, so float levels cannot place the normal side and "
+    "the cell 1a relation s_p = Qy(beta*) (Qx(alpha*) swapped) is judged false",
+)
+@pytest.mark.parametrize("swap", [False, True], ids=["as-given", "swapped"])
+def test_cross_check_passes_with_a_parametric_quantile_past_the_float_range(swap):
+    m = MixtureSpec(F(1, 2), Exponential(1e-308), Normal(0, 1))
+    report = cross_check(m.swapped() if swap else m, F(9, 10))
+    assert report.failures == ()
+
+
 def test_check_report_round_trips_to_dict():
     m = MixtureSpec(F(1, 2), Piecewise.uniform(0, 1), Piecewise.uniform(1, 2))
     report = cross_check(m, F(1, 4))
