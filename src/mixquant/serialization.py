@@ -89,7 +89,8 @@ def parse_exact_number(value, where: str = "number") -> Fraction:
 
 def exact_number_to_string(value: Fraction) -> str:
     """Minimal exact string: decimal when the denominator is 2^a * 5^b, else n/d."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     den = value.denominator
     if den == 1:
         return str(value.numerator)
