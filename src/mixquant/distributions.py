@@ -135,15 +135,90 @@ def _float_key(value: Fraction) -> float:
         return POS_INF if value > 0 else NEG_INF
 
 
-def _level_sum(cum: Fraction, num: int, den: int) -> Fraction:
-    """``cum + num/den`` for ``den > 0``, summed on integers: one reduced ``Fraction``.
+def _level_sum(cum: Fraction, num: int, den: int) -> tuple[Fraction, float]:
+    """``cum + num/den`` for ``0 <= cum`` and ``0 < num, den``, summed on integers.
 
-    The build and the mixture walk keep each addend as an unreduced integer
-    pair and store only the levels this returns, so each stored level costs
-    one ``gcd`` (the constructor's) instead of several ``Fraction`` operations.
+    Returns the sum as one reduced ``Fraction`` and its correctly rounded
+    float (``int / int`` rounds correctly, reduced or not), +inf beyond the
+    float range.  ``_sweep`` keeps each addend as an unreduced integer pair
+    and stores only these, so each stored level costs one ``gcd`` (the
+    constructor's) instead of several ``Fraction`` operations.
     """
     d = cum.denominator
-    return Fraction(cum.numerator * den + num * d, d * den)
+    n, d = cum.numerator * den + num * d, d * den
+    level = Fraction(n, d)
+    try:
+        return level, n / d
+    except OverflowError:
+        return level, POS_INF
+
+
+def _sweep(runs):
+    """The quantile pieces of a law given as events: atoms plus densities.
+
+    ``runs`` holds two lists of events ``(float x, x, side, value)``, each
+    in exact order of x; every value is an unreduced integer pair
+    ``(num, den)`` or None.  An event of side None adds the mass ``value``
+    at x.  One of side 0 or 1 sets that side's density right of x to
+    ``value``, None where the side has none; a position's density is the
+    sum of the sides'.  One stable sort orders the events by the float of
+    x, reading the exact x only where floats tie.  Within a run a
+    stretch ending at x precedes one starting there, so the densities are
+    those right of x once every event at x is read.  Only a move to a new
+    x, read from the floats and, where they tie, from the exact x, closes
+    the atom pending at the old one and then the stretch from it.  So at a
+    shared x the stretch ending there comes first, then the atom, then the
+    stretch starting there, and coincident atoms become one piece.
+
+    Returns four columns in level order: the pieces ``(lev_lo, lev_hi,
+    x_left, x_right)``, each one's density pair (None for an atom), and
+    float copies of ``x_left`` and ``lev_hi``.  Densities and masses are
+    summed as pairs (``_pair_sum``), and ``_level_sum`` makes each level.
+    """
+    events = runs[0] + runs[1]
+    events.sort(key=_FLOAT_THEN_EXACT)
+    # A last event at nan, a float unequal to every other, closes the last atom.
+    events.append((math.nan, _ZERO, None, None))
+    pieces, densities, x_lefts, lev_his = [], [], array("d"), array("d")
+    active = [None, None]
+    cum = _ZERO
+    mass = f_at = at = None
+    for f_x, x, side, value in events:
+        if f_x != f_at or x is not at and x != at:
+            if mass is not None:
+                top, f_top = _level_sum(cum, *mass)
+                pieces.append((cum, top, at, at))
+                densities.append(None)
+                x_lefts.append(f_at)
+                lev_his.append(f_top)
+                cum, mass = top, None
+            xn, xd = x.numerator, x.denominator
+            x_density, y_density = active
+            density = (
+                x_density if y_density is None
+                else y_density if x_density is None
+                else _pair_sum(x_density, y_density)
+            )
+            if density is not None:
+                # The stretch from at to x rises density * (x - at).
+                dn, dd = density
+                top, f_top = _level_sum(cum, dn * (xn * ad - an * xd), dd * xd * ad)
+                pieces.append((cum, top, at, x))
+                densities.append(density)
+                x_lefts.append(f_at)
+                lev_his.append(f_top)
+                cum = top
+            f_at, at, an, ad = f_x, x, xn, xd
+        if side is None:
+            mass = value if mass is None else _pair_sum(mass, value)
+        else:
+            active[side] = value
+    return pieces, densities, x_lefts, lev_his
+
+
+def _pair_sum(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a + b on unreduced integer pairs (num, den)."""
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
 
 
 def _find_cut(pieces, cuts: array, key, value: Fraction, find) -> int:
@@ -209,8 +284,9 @@ class Piecewise(Distribution):
 
     The affine pieces of the generalized inverse (``quantile_pieces()``) are
     the one stored layout: the CDF, its left limits, left flatness, atoms and
-    the support are all read from them.  One left-to-right pass over the
-    atoms and segments builds the pieces and checks the arguments.  Float
+    the support are all read from them.  The checked atoms and segments
+    become events of one sweep (``_sweep``), the one that also builds a
+    mixture's pieces from its components' (``mixture._walk_pieces``).  Float
     copies of the two sorted cut columns, ``lev_hi`` and ``x_left``, let
     every bisection decide in float and compare ``Fraction`` keys only where
     the floats tie (``_find_cut``).  The build sorts and checks the same way,
@@ -235,77 +311,58 @@ class Piecewise(Distribution):
             atom_rows.append((_float_key(loc), loc, as_fraction(mass)))
         atom_rows.sort(key=_FLOAT_THEN_EXACT)
         seg_rows = []
-        for left, right, rise in segments:
-            left, right = as_fraction(left), as_fraction(right)
-            seg_rows.append((_float_key(left), left, _float_key(right), right, as_fraction(rise)))
+        right = f_right = None
+        for left, end, rise in segments:
+            # The parser hands a shared end over as one object, whose float
+            # the previous row holds.
+            left = as_fraction(left)
+            f_left = f_right if left is right else _float_key(left)
+            right = as_fraction(end)
+            f_right = _float_key(right)
+            seg_rows.append((f_left, left, f_right, right, as_fraction(rise)))
         seg_rows.sort(key=_FLOAT_THEN_EXACT)
-        self.atoms: tuple[tuple[Fraction, Fraction], ...] = tuple(
-            [(loc, mass) for _, loc, mass in atom_rows]
+        self.atoms = tuple([(loc, mass) for _, loc, mass in atom_rows])
+        self.segments = tuple([(left, right, rise) for _, left, _, right, rise in seg_rows])
+        # The checked rows become ``_sweep``'s two runs.  A segment sets the
+        # density rise/(right - left) at its left end and clears it at its
+        # right end, where the set of a segment starting there replaces the
+        # clear; an atom adds its mass.
+        seg_run = []
+        right = f_right = None
+        for f_left, left, f_end, end, rise in seg_rows:
+            if not (f_left < f_end or f_left == f_end and left < end):
+                raise ValueError(f"segment [{left}, {end}] must have left < right")
+            if rise.numerator <= 0:
+                raise ValueError(f"segment rise over [{left}, {end}] must be positive")
+            if right is left or f_right == f_left and right == left:
+                seg_run.pop()
+            elif right is not None and (f_right > f_left or f_right == f_left and right > left):
+                raise ValueError("segment interiors must be pairwise disjoint")
+            f_right, right = f_end, end
+            xn, xd, rn, rd = left.numerator, left.denominator, end.numerator, end.denominator
+            density = (rise.numerator * rd * xd, rise.denominator * (rn * xd - xn * rd))
+            seg_run += ((f_left, left, 0, density), (f_end, end, 0, None))
+        atom_run = []
+        loc = f_loc = None
+        for f_at, at, mass in atom_rows:
+            if mass.numerator <= 0:
+                raise ValueError(f"atom mass at {at} must be positive, got {mass}")
+            if f_at == f_loc and at == loc:
+                raise ValueError(f"duplicate atom location {at}")
+            f_loc, loc = f_at, at
+            atom_run.append((f_at, at, None, (mass.numerator, mass.denominator)))
+        pieces, densities, self._x_lefts, self._lev_his = _sweep((seg_run, atom_run))
+        total = pieces[-1][1] if pieces else _ZERO
+        if total != 1:
+            raise ValueError(f"atom masses plus segment rises must equal 1, got {total}")
+        # A segment's slope is 1/density.  ``QuantilePiece(...)`` calls
+        # ``tuple.__new__``; calling it here saves a Python frame per piece.
+        self._pieces = tuple(
+            [
+                tuple.__new__(QuantilePiece, (lo, hi, a, b, Fraction(d[1], d[0]) if d else _ZERO))
+                for (lo, hi, a, b), d in zip(pieces, densities)
+            ]
         )
-        self.segments: tuple[tuple[Fraction, Fraction, Fraction], ...] = tuple(
-            [(left, right, rise) for _, left, _, right, rise in seg_rows]
-        )
-        # Each segment takes the atoms below its right end: those at or
-        # before its left end come first, and each one strictly inside splits
-        # it.  So at a shared point the stretch ending there comes first, then
-        # the atom, then the stretch starting there.  The final None takes
-        # the atoms past the last segment.  ``fx`` is the float of ``x``, the
-        # left end of the stretch being built, and fills ``_x_lefts``.  A
-        # stretch from x to b rises (b - x)/slope, summed on the integer pairs
-        # of x, b and the slope by ``_level_sum``.
-        pieces: list[QuantilePiece] = []
-        x_lefts = array("d")
-        cum = _ZERO
-        i, n_atoms = 0, len(atom_rows)
-        prev_loc = f_prev_loc = prev_right = None
-        for seg in (*seg_rows, None):
-            if seg is not None:
-                f_left, left, f_right, right, rise = seg
-                if not (f_left < f_right or f_left == f_right and left < right):
-                    raise ValueError(f"segment [{left}, {right}] must have left < right")
-                if rise.numerator <= 0:
-                    raise ValueError(f"segment rise over [{left}, {right}] must be positive")
-                # The parser hands a shared end over as one object.
-                if prev_right is not None and prev_right is not left and (
-                    f_prev_right > f_left or f_prev_right == f_left and prev_right > left
-                ):
-                    raise ValueError("segment interiors must be pairwise disjoint")
-                prev_right, f_prev_right = right, f_right
-                x, fx = left, f_left
-                xn, xd = left.numerator, left.denominator
-                rn, rd = right.numerator, right.denominator
-                slope = Fraction((rn * xd - xn * rd) * rise.denominator, rd * xd * rise.numerator)
-                sn, sd = slope.numerator, slope.denominator
-            while i < n_atoms:
-                f_loc, loc, mass = atom_rows[i]
-                if seg is not None and not (f_loc < f_right or f_loc == f_right and loc < right):
-                    break
-                i += 1
-                if mass.numerator <= 0:
-                    raise ValueError(f"atom mass at {loc} must be positive, got {mass}")
-                if f_loc == f_prev_loc and loc == prev_loc:
-                    raise ValueError(f"duplicate atom location {loc}")
-                prev_loc, f_prev_loc = loc, f_loc
-                if seg is not None and (f_loc > fx or f_loc == fx and loc > x):
-                    ln, ld = loc.numerator, loc.denominator
-                    top = _level_sum(cum, (ln * xd - xn * ld) * sd, ld * xd * sn)
-                    pieces.append(QuantilePiece(cum, top, x, loc, slope))
-                    x_lefts.append(fx)
-                    cum, x, fx, xn, xd = top, loc, f_loc, ln, ld
-                top = _level_sum(cum, mass.numerator, mass.denominator)
-                pieces.append(QuantilePiece(cum, top, loc, loc, _ZERO))
-                x_lefts.append(f_loc)
-                cum = top
-            if seg is not None:
-                top = _level_sum(cum, (rn * xd - xn * rd) * sd, rd * xd * sn)
-                pieces.append(QuantilePiece(cum, top, x, right, slope))
-                x_lefts.append(fx)
-                cum = top
-        if cum != 1:
-            raise ValueError(f"atom masses plus segment rises must equal 1, got {cum}")
-        self._pieces = tuple(pieces)
-        self._lev_his = array("d", [_float_key(piece.lev_hi) for piece in pieces])
-        self._x_lefts = x_lefts
 
     # -- construction helpers -------------------------------------------------
 

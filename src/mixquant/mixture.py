@@ -24,10 +24,9 @@ from .distributions import (
     ExtendedReal,
     Piecewise,
     RealLike,
-    _FLOAT_THEN_EXACT,
     _find_cut,
     _float_key,
-    _level_sum,
+    _sweep,
     as_fraction,
 )
 
@@ -42,8 +41,6 @@ __all__ = [
     "sample",
 ]
 
-_ZERO = Fraction(0)
-_FLOAT = itemgetter(0)
 _LEV_HI = itemgetter(1)
 
 
@@ -87,8 +84,7 @@ class MixtureSpec:
         """
         if not self.is_exact:
             raise ValueError("the mixture's quantile pieces need two piecewise components")
-        pieces = tuple(_walk_pieces(self))
-        return pieces, array("d", [_float_key(lev_hi) for _, lev_hi, _, _ in pieces])
+        return _walk_pieces(self)
 
     def swapped(self) -> "MixtureSpec":
         """The same mixture with the component roles exchanged."""
@@ -129,86 +125,44 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
     return Piecewise(atoms, segments)
 
 
-def _walk_pieces(m: MixtureSpec):
-    """The quantile pieces of q*F + (1-q)*G, from one walk over the components' own.
+def _walk_pieces(m: MixtureSpec) -> tuple[tuple, array]:
+    """``MixtureSpec.pieces``, swept from the components' own pieces.
 
-    Yields ``(lev_lo, lev_hi, x_left, x_right)`` in level order, the pieces
-    of the inverse of the mixture CDF q*F + (1-q)*G.  Each component piece
-    becomes events ``(float x, x, side, value)``, each value an unreduced
-    integer pair ``(num, den)`` or None: a segment piece sets its
-    side's density ``weight / slope`` at its left end and clears it at its
-    right end, and an atom piece (side None) adds the mass
-    ``weight * (lev_hi - lev_lo)`` at its point.  One stable sort orders the
-    events by the float of x, and by the exact x too when the two sides
-    share a float.  Within a side a piece ending at x precedes the one
-    starting there, so the densities are those right of x once every event
-    at x is read.  Only a move to a new x, read from the floats and, where
-    they tie, from the exact x, closes the atom pending at the old one and
-    then the stretch from it, so coincident atoms of both sides become one
-    piece.  A side of weight 0 is left out.
+    The pieces ``(lev_lo, lev_hi, x_left, x_right)`` of q*F + (1-q)*G in
+    level order, and the floats of their ``lev_hi``.  Each component piece
+    becomes ``_sweep`` events of its side: a segment piece sets the side's
+    density ``weight / slope`` at its left end and clears it at its right
+    end, and an atom piece adds the mass ``weight * (lev_hi - lev_lo)`` at
+    its point, both as unreduced integer pairs.  A side of weight 0 has no
+    events.
     """
-    runs = []
+    runs = ([], [])
     for side, (weight, comp) in enumerate(((m.q, m.x), (1 - m.q, m.y))):
         if not weight:
             continue
         wn, wd = weight.numerator, weight.denominator
-        run = []
+        # Built pieces that meet share one object (``_sweep`` hands its x on),
+        # so a segment piece's clear event waits for the next piece: a
+        # stretch starting at that object replaces it, and an atom there
+        # lends it its float.
+        run, end = runs[side], None
         for (lev_lo, lev_hi, x_left, x_right, slope), f_left in zip(
             comp.quantile_pieces(), comp._x_lefts
         ):
+            if end is not None and not (slope and end is x_left):
+                run.append((f_left if end is x_left else _float_key(end), end, side, None))
             if slope:
-                run += (
-                    (f_left, x_left, side, (wn * slope.denominator, wd * slope.numerator)),
-                    (_float_key(x_right), x_right, side, None),
-                )
+                run.append((f_left, x_left, side, (wn * slope.denominator, wd * slope.numerator)))
+                end = x_right
             else:
                 hd, ld = lev_hi.denominator, lev_lo.denominator
                 mass = (wn * (lev_hi.numerator * ld - lev_lo.numerator * hd), wd * hd * ld)
                 run.append((f_left, x_left, None, mass))
-        runs.append(run)
-    events = [event for run in runs for event in run]
-    # Each run is in exact order already and the sort is stable, so the
-    # floats alone misorder events only where the two sides' floats meet.
-    tied = len(runs) == 2 and not {event[0] for event in runs[0]}.isdisjoint(
-        [event[0] for event in runs[1]]
-    )
-    events.sort(key=_FLOAT_THEN_EXACT if tied else _FLOAT)
-    # Densities and masses are summed as unreduced pairs; ``_level_sum``
-    # makes each stored level one reduced ``Fraction``.  A side's density
-    # and the pending mass are None where they are 0.
-    active = [None, None]
-    cum = _ZERO
-    mass = density = f_at = at = None
-    for f_x, x, side, value in events:
-        if f_x != f_at or x is not at and x != at:
-            if mass is not None:
-                top = _level_sum(cum, *mass)
-                yield cum, top, at, at
-                cum, mass = top, None
-            if density is not None:
-                dn, dd = density
-                xd, ad = x.denominator, at.denominator
-                top = _level_sum(cum, dn * (x.numerator * ad - at.numerator * xd), dd * xd * ad)
-                yield cum, top, at, x
-                cum = top
-            f_at, at = f_x, x
-        if side is None:
-            mass = value if mass is None else _pair_sum(mass, value)
-        else:
-            active[side] = value
-            x_density, y_density = active
-            density = (
-                x_density if y_density is None
-                else y_density if x_density is None
-                else _pair_sum(x_density, y_density)
-            )
-    if mass is not None:
-        yield cum, _level_sum(cum, *mass), at, at
-
-
-def _pair_sum(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """a + b on unreduced integer pairs (num, den)."""
-    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+                end = None
+        if end is not None:
+            run.append((_float_key(end), end, side, None))
+    pieces, _, _, cuts = _sweep(runs)
+    return tuple(pieces), cuts
 
 
 def _checked_level(m: MixtureSpec, p: RealLike) -> Fraction:

@@ -127,6 +127,12 @@ def test_atom_on_a_segment_end_does_not_split_it():
     assert _spans(d) == [(0, 1), (1, 1)]
     d = Piecewise(atoms=[(1, F(1, 2))], segments=[(1, 2, F(1, 2))])
     assert _spans(d) == [(1, 1), (1, 2)]
+    # Nor does one within one float outside the end: the runs' floats tie,
+    # and the exact positions order the atom and the segment.
+    d = Piecewise(atoms=[(BELOW_ONE, F(1, 2))], segments=[(1, 2, F(1, 2))])
+    assert _spans(d) == [(BELOW_ONE, BELOW_ONE), (1, 2)]
+    d = Piecewise(atoms=[(ABOVE_ONE, F(1, 2))], segments=[(0, 1, F(1, 2))])
+    assert _spans(d) == [(0, 1), (ABOVE_ONE, ABOVE_ONE)]
 
 
 def _far_grid() -> Piecewise:

@@ -39,7 +39,7 @@ from mixquant.mixture import (
 from mixquant.serialization import serialize_mixture
 from mixquant.verification import InstanceGenConfig, generate_instance, monte_carlo_quantile
 
-from reference import ref_cdf, ref_cdf_left, ref_merged, ref_quantile
+from reference import breakpoints, ref_cdf, ref_cdf_left, ref_merged, ref_quantile
 from test_cli import _adjacent_units
 from test_distributions import levels, piecewise_dists, points
 from test_float_filter import FIXTURES
@@ -311,6 +311,22 @@ def _reference_merge(m):
     return SimpleNamespace(atoms=atoms, segments=segments)
 
 
+def _reference_pieces(d):
+    """The quantile pieces ``(lev_lo, lev_hi, x_left, x_right)`` of ``d``, read
+    from ``ref_cdf`` and ``ref_cdf_left`` at its breakpoints: at each point
+    its atom, where the CDF jumps, then the stretch to the next point, where
+    the CDF rises before it."""
+    pieces = []
+    pts = breakpoints(d)
+    for a, b in zip(pts, pts[1:] + [None]):
+        lev_lo, lev_hi = ref_cdf_left(d, a), ref_cdf(d, a)
+        if lev_hi > lev_lo:
+            pieces.append((lev_lo, lev_hi, a, a))
+        if b is not None and ref_cdf_left(d, b) > lev_hi:
+            pieces.append((lev_hi, ref_cdf_left(d, b), a, b))
+    return tuple(pieces)
+
+
 def _wide_pairs():
     """Adjacent unit segments with atoms on segment ends, Y offset by 1/3 or
     sharing X's ends (where atoms of both sides can coincide)."""
@@ -372,12 +388,8 @@ def test_walked_pieces_equal_the_merged_pieces(name):
     for m in WALK_CASES[name]():
         for mm in (m, m.swapped()):
             reference = _reference_merge(mm)
-            expected = tuple(
-                (piece.lev_lo, piece.lev_hi, piece.x_left, piece.x_right)
-                for piece in Piecewise(reference.atoms, reference.segments).quantile_pieces()
-            )
             pieces, cuts = mm.pieces
-            assert pieces == expected, mm
+            assert pieces == _reference_pieces(reference), mm
             # Each component's built levels are its CDF at the piece ends,
             # the left limit where the level stops short of an atom there.
             for comp in (mm.x, mm.y):
