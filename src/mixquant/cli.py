@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 
 from .classify import InternalContradictionError
-from .distributions import DomainError
-from .mixture import MixtureSpec, direct_quantile
+from .distributions import DomainError, _ratio_sum
+from .mixture import MixtureSpec, _mix_levels, direct_quantile
 from .serialization import (
     SpecParseError,
     extended_to_string,
@@ -153,11 +153,13 @@ def _cmd_curve(args) -> int:
         raise DomainError(f"curve needs --from < --to, got [{lo}, {hi}]")
 
     rows = ["x,F,G,FS"]
+    # The grid point lo + (hi - lo) * i/(steps - 1), on integers.
+    ln, ld = lo.numerator, lo.denominator
+    width, den = hi.numerator * ld - ln * hi.denominator, hi.denominator * ld * (steps - 1)
     for i in range(steps):
-        x = lo + (hi - lo) * Fraction(i, steps - 1)
+        x = _ratio_sum(ln, ld, width * i, den)[0]
         f, g = m.x.cdf(x), m.y.cdf(x)
-        fs = m.q * f + (1 - m.q) * g
-        rows.append(",".join(map(extended_to_string, (x, f, g, fs))))
+        rows.append(",".join(map(extended_to_string, (x, f, g, _mix_levels(m.q, f, g)))))
     rows.append("")
     rows.append("p,Qx,Qy,QS")
     for j in range(1, steps + 1):

@@ -135,65 +135,77 @@ def _float_key(value: Fraction) -> float:
         return POS_INF if value > 0 else NEG_INF
 
 
-def _level_sum(cum: Fraction, num: int, den: int) -> tuple[Fraction, float]:
-    """``cum + num/den`` for ``0 <= cum`` and ``0 < num, den``, summed on integers.
+def _ratio_sum(n: int, d: int, num: int, den: int) -> tuple[Fraction, int, int]:
+    """``n/d + num/den``, summed on integers, as one reduced ``Fraction``.
 
-    Returns the sum as one reduced ``Fraction`` and its correctly rounded
-    float (``int / int`` rounds correctly, reduced or not), +inf beyond the
-    float range.  ``_sweep`` keeps each addend as an unreduced integer pair
-    and stores only these, so each stored level costs one ``gcd`` (the
-    constructor's) instead of several ``Fraction`` operations.
+    The domain is ``d > 0`` and ``den > 0``; ``n`` and ``num`` may have
+    either sign or be 0.  Returns the ``Fraction`` and its reduced pair
+    ``(n, d)``, so a caller summing on (``_sweep``'s running level) carries
+    the pair instead of reading the ``Fraction``'s properties back.  Every
+    exact value the ``curve`` path computes (a stored level, a CDF value
+    inside a stretch, a mixture level, a grid point, a point of the
+    mixture's inverse) is made here from integers, where ``Fraction``
+    arithmetic would build a ``Fraction`` per operation.
     """
-    d = cum.denominator
-    n, d = cum.numerator * den + num * d, d * den
-    level = Fraction(n, d)
+    level = Fraction(n * den + num * d, d * den)
+    n, d = level.as_integer_ratio()
+    return level, n, d
+
+
+def _quotient(n: int, d: int) -> float:
+    """The correctly rounded float of ``n/d`` for ``d > 0``, +-inf beyond the float range."""
     try:
-        return level, n / d
+        return n / d
     except OverflowError:
-        return level, POS_INF
+        return POS_INF if n > 0 else NEG_INF
 
 
-def _sweep(runs):
+#: The event that ends ``_sweep``'s events: at nan, a float unequal to every
+#: other, it closes the last atom.
+_END = (math.nan, _ZERO, 0, 1, None, None)
+
+
+def _sweep(events: list):
     """The quantile pieces of a law given as events: atoms plus densities.
 
-    ``runs`` holds two lists of events ``(float x, x, side, value)``, each
-    in exact order of x; every value is an unreduced integer pair
-    ``(num, den)`` or None.  An event of side None adds the mass ``value``
+    ``events`` holds events ``(float x, x, xn, xd, side, value)``, with
+    ``(xn, xd)`` the reduced integer pair of x, in two runs, each in exact
+    order of x; every value is an unreduced integer pair ``(num, den)`` or
+    None.  An event of side None adds the mass ``value``
     at x.  One of side 0 or 1 sets that side's density right of x to
     ``value``, None where the side has none; a position's density is the
-    sum of the sides'.  One stable sort orders the events by the float of
-    x, reading the exact x only where floats tie.  Within a run a
-    stretch ending at x precedes one starting there, so the densities are
-    those right of x once every event at x is read.  Only a move to a new
-    x, read from the floats and, where they tie, from the exact x, closes
-    the atom pending at the old one and then the stretch from it.  So at a
-    shared x the stretch ending there comes first, then the atom, then the
-    stretch starting there, and coincident atoms become one piece.
+    sum of the sides'.  One stable sort, in place, orders the events by the
+    float of x, reading the exact x only where floats tie; it merges the
+    two runs.  Within a run a stretch ending at x precedes one starting
+    there, so the densities are those right of x once every event at x is
+    read.  Only a move to a new x, read from the floats and, where they
+    tie, from the exact x, closes the atom pending at the old one and then
+    the stretch from it.  So at a shared x the stretch ending there comes
+    first, then the atom, then the stretch starting there, and coincident
+    atoms become one piece.
 
     Returns four columns in level order: the pieces ``(lev_lo, lev_hi,
     x_left, x_right)``, each one's density pair (None for an atom), and
-    float copies of ``x_left`` and ``lev_hi``.  Densities and masses are
-    summed as pairs (``_pair_sum``), and ``_level_sum`` makes each level.
+    float copies of ``x_left`` and ``lev_hi``.  An atom's piece holds its
+    point as one object twice; pieces that meet share the object of their
+    common x.  Densities and masses are summed as pairs (``_pair_sum``);
+    the running level is a reduced pair, and ``_ratio_sum`` makes each
+    level from it.
     """
-    events = runs[0] + runs[1]
     events.sort(key=_FLOAT_THEN_EXACT)
-    # A last event at nan, a float unequal to every other, closes the last atom.
-    events.append((math.nan, _ZERO, None, None))
+    events.append(_END)
     pieces, densities, x_lefts, lev_his = [], [], array("d"), array("d")
-    active = [None, None]
-    cum = _ZERO
-    mass = f_at = at = None
-    for f_x, x, side, value in events:
+    cum, cn, cd = _ZERO, 0, 1
+    mass = f_at = at = x_density = y_density = None
+    for f_x, x, xn, xd, side, value in events:
         if f_x != f_at or x is not at and x != at:
             if mass is not None:
-                top, f_top = _level_sum(cum, *mass)
+                top, cn, cd = _ratio_sum(cn, cd, *mass)
                 pieces.append((cum, top, at, at))
                 densities.append(None)
                 x_lefts.append(f_at)
-                lev_his.append(f_top)
+                lev_his.append(_quotient(cn, cd))
                 cum, mass = top, None
-            xn, xd = x.numerator, x.denominator
-            x_density, y_density = active
             density = (
                 x_density if y_density is None
                 else y_density if x_density is None
@@ -202,17 +214,19 @@ def _sweep(runs):
             if density is not None:
                 # The stretch from at to x rises density * (x - at).
                 dn, dd = density
-                top, f_top = _level_sum(cum, dn * (xn * ad - an * xd), dd * xd * ad)
+                top, cn, cd = _ratio_sum(cn, cd, dn * (xn * ad - an * xd), dd * xd * ad)
                 pieces.append((cum, top, at, x))
                 densities.append(density)
                 x_lefts.append(f_at)
-                lev_his.append(f_top)
+                lev_his.append(_quotient(cn, cd))
                 cum = top
             f_at, at, an, ad = f_x, x, xn, xd
         if side is None:
             mass = value if mass is None else _pair_sum(mass, value)
+        elif side:
+            y_density = value
         else:
-            active[side] = value
+            x_density = value
     return pieces, densities, x_lefts, lev_his
 
 
@@ -291,11 +305,19 @@ class Piecewise(Distribution):
     every bisection decide in float and compare ``Fraction`` keys only where
     the floats tie (``_find_cut``).  The build sorts and checks the same way,
     on the floats of the positions, which then fill ``_x_lefts``.
+
+    ``_densities`` keeps each piece's density as the sweep summed it, an
+    unreduced integer pair (None for an atom).  The CDF inside a segment
+    and the mixture walk read it instead of the slope, so neither reads a
+    ``Fraction``'s properties for it.  A segment piece's slope is
+    1/density, and pieces whose density pair repeats share one slope
+    ``Fraction``: segments of one width and rise, as adjacent unit segments
+    of few distinct weights have, build it once.
     """
 
     is_exact = True
 
-    __slots__ = ("atoms", "segments", "_pieces", "_lev_his", "_x_lefts")
+    __slots__ = ("atoms", "segments", "_pieces", "_densities", "_lev_his", "_x_lefts")
 
     def __init__(
         self,
@@ -304,65 +326,78 @@ class Piecewise(Distribution):
     ) -> None:
         # Rows lead with the float of each position they are ordered by, so
         # sorting and every order check below decide in float and compare
-        # ``Fraction``s only where the floats tie (``_float_key`` is monotone).
+        # ``Fraction``s only where the floats tie (rounding is monotone).
+        # They also carry the integer pair of each position, read once.
         atom_rows = []
         for loc, mass in atoms:
             loc = as_fraction(loc)
-            atom_rows.append((_float_key(loc), loc, as_fraction(mass)))
+            ln, ld = loc.numerator, loc.denominator
+            atom_rows.append((_quotient(ln, ld), loc, as_fraction(mass), ln, ld))
         atom_rows.sort(key=_FLOAT_THEN_EXACT)
         seg_rows = []
         right = f_right = None
         for left, end, rise in segments:
             # The parser hands a shared end over as one object, whose float
-            # the previous row holds.
+            # and pair the previous row holds.
             left = as_fraction(left)
-            f_left = f_right if left is right else _float_key(left)
+            if left is not right:
+                ln, ld = left.numerator, left.denominator
+                f_left = _quotient(ln, ld)
+            else:
+                f_left, ln, ld = f_right, rn, rd
             right = as_fraction(end)
-            f_right = _float_key(right)
-            seg_rows.append((f_left, left, f_right, right, as_fraction(rise)))
+            rn, rd = right.numerator, right.denominator
+            f_right = _quotient(rn, rd)
+            seg_rows.append((f_left, left, f_right, right, as_fraction(rise), ln, ld, rn, rd))
         seg_rows.sort(key=_FLOAT_THEN_EXACT)
-        self.atoms = tuple([(loc, mass) for _, loc, mass in atom_rows])
-        self.segments = tuple([(left, right, rise) for _, left, _, right, rise in seg_rows])
-        # The checked rows become ``_sweep``'s two runs.  A segment sets the
-        # density rise/(right - left) at its left end and clears it at its
-        # right end, where the set of a segment starting there replaces the
-        # clear; an atom adds its mass.
-        seg_run = []
+        self.atoms = tuple([(row[1], row[2]) for row in atom_rows])
+        self.segments = tuple([(row[1], row[3], row[4]) for row in seg_rows])
+        # The checked rows become ``_sweep``'s events, a segment run and an
+        # atom run.  A segment sets the density rise/(right - left) at its
+        # left end and clears it at its right end, where the set of a
+        # segment starting there replaces the clear; an atom adds its mass.
+        events = []
         right = f_right = None
-        for f_left, left, f_end, end, rise in seg_rows:
+        for f_left, left, f_end, end, rise, ln, ld, rn, rd in seg_rows:
             if not (f_left < f_end or f_left == f_end and left < end):
                 raise ValueError(f"segment [{left}, {end}] must have left < right")
-            if rise.numerator <= 0:
+            hn, hd = rise.numerator, rise.denominator
+            if hn <= 0:
                 raise ValueError(f"segment rise over [{left}, {end}] must be positive")
             if right is left or f_right == f_left and right == left:
-                seg_run.pop()
+                events.pop()
             elif right is not None and (f_right > f_left or f_right == f_left and right > left):
                 raise ValueError("segment interiors must be pairwise disjoint")
             f_right, right = f_end, end
-            xn, xd, rn, rd = left.numerator, left.denominator, end.numerator, end.denominator
-            density = (rise.numerator * rd * xd, rise.denominator * (rn * xd - xn * rd))
-            seg_run += ((f_left, left, 0, density), (f_end, end, 0, None))
-        atom_run = []
+            density = (hn * rd * ld, hd * (rn * ld - ln * rd))
+            events += ((f_left, left, ln, ld, 0, density), (f_end, end, rn, rd, 0, None))
         loc = f_loc = None
-        for f_at, at, mass in atom_rows:
-            if mass.numerator <= 0:
+        for f_at, at, mass, ln, ld in atom_rows:
+            mn, md = mass.numerator, mass.denominator
+            if mn <= 0:
                 raise ValueError(f"atom mass at {at} must be positive, got {mass}")
             if f_at == f_loc and at == loc:
                 raise ValueError(f"duplicate atom location {at}")
             f_loc, loc = f_at, at
-            atom_run.append((f_at, at, None, (mass.numerator, mass.denominator)))
-        pieces, densities, self._x_lefts, self._lev_his = _sweep((seg_run, atom_run))
+            events.append((f_at, at, ln, ld, None, (mn, md)))
+        pieces, densities, self._x_lefts, self._lev_his = _sweep(events)
         total = pieces[-1][1] if pieces else _ZERO
         if total != 1:
             raise ValueError(f"atom masses plus segment rises must equal 1, got {total}")
-        # A segment's slope is 1/density.  ``QuantilePiece(...)`` calls
-        # ``tuple.__new__``; calling it here saves a Python frame per piece.
-        self._pieces = tuple(
-            [
-                tuple.__new__(QuantilePiece, (lo, hi, a, b, Fraction(d[1], d[0]) if d else _ZERO))
-                for (lo, hi, a, b), d in zip(pieces, densities)
-            ]
-        )
+        self._densities = densities
+        # A segment's slope is 1/density; pieces of one density pair share
+        # one slope.  ``QuantilePiece(...)`` calls ``tuple.__new__``;
+        # calling it here saves a Python frame per piece.
+        slopes = {}
+        for k, d in enumerate(densities):
+            if d is None:
+                slope = _ZERO
+            else:
+                slope = slopes.get(d)
+                if slope is None:
+                    slope = slopes[d] = Fraction(d[1], d[0])
+            pieces[k] = tuple.__new__(QuantilePiece, (*pieces[k], slope))
+        self._pieces = tuple(pieces)
 
     # -- construction helpers -------------------------------------------------
 
@@ -395,10 +430,15 @@ class Piecewise(Distribution):
         j = _find_cut(self._pieces, self._x_lefts, _X_LEFT, x, find) - 1
         if j < 0:
             return _ZERO
-        piece = self._pieces[j]
-        if x >= piece.x_right:
-            return piece.lev_hi
-        return piece.lev_lo + (x - piece.x_left) / piece.slope
+        lev_lo, lev_hi, x_left, x_right, _ = self._pieces[j]
+        if x >= x_right:
+            return lev_hi
+        # Inside a segment: lev_lo + density * (x - x_left), on integers.
+        dn, dd = self._densities[j]
+        xn, xd, ln, ld = x.numerator, x.denominator, x_left.numerator, x_left.denominator
+        return _ratio_sum(
+            lev_lo.numerator, lev_lo.denominator, dn * (xn * ld - ln * xd), dd * xd * ld
+        )[0]
 
     def cdf(self, x: RealLike) -> Fraction:
         # bisect_right keeps the pieces starting at x: F(x) counts an atom there.

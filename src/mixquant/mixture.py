@@ -26,6 +26,8 @@ from .distributions import (
     RealLike,
     _find_cut,
     _float_key,
+    _quotient,
+    _ratio_sum,
     _sweep,
     as_fraction,
 )
@@ -93,11 +95,21 @@ class MixtureSpec:
 
 def mixture_cdf(m: MixtureSpec, x: RealLike) -> ExtendedReal:
     """q*F(x) + (1-q)*G(x); exact when both components are piecewise."""
-    return m.q * m.x.cdf(x) + (1 - m.q) * m.y.cdf(x)
+    return _mix_levels(m.q, m.x.cdf(x), m.y.cdf(x))
 
 
 def mixture_cdf_left_limit(m: MixtureSpec, x: RealLike) -> ExtendedReal:
-    return m.q * m.x.cdf_left_limit(x) + (1 - m.q) * m.y.cdf_left_limit(x)
+    return _mix_levels(m.q, m.x.cdf_left_limit(x), m.y.cdf_left_limit(x))
+
+
+def _mix_levels(q: Fraction, f: ExtendedReal, g: ExtendedReal) -> ExtendedReal:
+    """q*f + (1-q)*g: one reduced ``Fraction`` when f and g are exact, else
+    in float arithmetic as written (a float f or g makes the sum a float)."""
+    if isinstance(f, float) or isinstance(g, float):
+        return q * f + (1 - q) * g
+    qn, qd = q.numerator, q.denominator
+    fn, fd, gn, gd = f.numerator, f.denominator, g.numerator, g.denominator
+    return _ratio_sum(0, 1, qn * fn * gd + (qd - qn) * gn * fd, qd * fd * gd)[0]
 
 
 def merged_distribution(m: MixtureSpec) -> Piecewise:
@@ -131,37 +143,41 @@ def _walk_pieces(m: MixtureSpec) -> tuple[tuple, array]:
     The pieces ``(lev_lo, lev_hi, x_left, x_right)`` of q*F + (1-q)*G in
     level order, and the floats of their ``lev_hi``.  Each component piece
     becomes ``_sweep`` events of its side: a segment piece sets the side's
-    density ``weight / slope`` at its left end and clears it at its right
-    end, and an atom piece adds the mass ``weight * (lev_hi - lev_lo)`` at
-    its point, both as unreduced integer pairs.  A side of weight 0 has no
-    events.
+    density, ``weight`` times the one its build stored (``_densities``), at
+    its left end and clears it at its right end, and an atom piece adds the
+    mass ``weight * (lev_hi - lev_lo)`` at its point, both as unreduced
+    integer pairs.  A side of weight 0 has no events.
     """
-    runs = ([], [])
+    events = []
     for side, (weight, comp) in enumerate(((m.q, m.x), (1 - m.q, m.y))):
-        if not weight:
-            continue
         wn, wd = weight.numerator, weight.denominator
+        if not wn:
+            continue
         # Built pieces that meet share one object (``_sweep`` hands its x on),
         # so a segment piece's clear event waits for the next piece: a
         # stretch starting at that object replaces it, and an atom there
         # lends it its float.
-        run, end = runs[side], None
-        for (lev_lo, lev_hi, x_left, x_right, slope), f_left in zip(
-            comp.quantile_pieces(), comp._x_lefts
+        end = None
+        for (lev_lo, lev_hi, x_left, x_right, _), f_left, density in zip(
+            comp._pieces, comp._x_lefts, comp._densities
         ):
-            if end is not None and not (slope and end is x_left):
-                run.append((f_left if end is x_left else _float_key(end), end, side, None))
-            if slope:
-                run.append((f_left, x_left, side, (wn * slope.denominator, wd * slope.numerator)))
+            if end is not None and not (density is not None and end is x_left):
+                en, ed = end.numerator, end.denominator
+                f_end = f_left if end is x_left else _quotient(en, ed)
+                events.append((f_end, end, en, ed, side, None))
+            if density is not None:
+                value = (wn * density[0], wd * density[1])
+                events.append((f_left, x_left, x_left.numerator, x_left.denominator, side, value))
                 end = x_right
             else:
                 hd, ld = lev_hi.denominator, lev_lo.denominator
                 mass = (wn * (lev_hi.numerator * ld - lev_lo.numerator * hd), wd * hd * ld)
-                run.append((f_left, x_left, None, mass))
+                events.append((f_left, x_left, x_left.numerator, x_left.denominator, None, mass))
                 end = None
         if end is not None:
-            run.append((_float_key(end), end, side, None))
-    pieces, _, _, cuts = _sweep(runs)
+            en, ed = end.numerator, end.denominator
+            events.append((_quotient(en, ed), end, en, ed, side, None))
+    pieces, _, _, cuts = _sweep(events)
     return tuple(pieces), cuts
 
 
@@ -198,9 +214,16 @@ def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
     lev_lo, lev_hi, x_left, x_right = pieces[
         _find_cut(pieces, cuts, _LEV_HI, p, bisect.bisect_left)
     ]
-    if x_left == x_right:
+    # An atom's piece holds its point as one object twice (``_sweep``).
+    if x_left is x_right:
         return x_left
-    return x_left + (p - lev_lo) * (x_right - x_left) / (lev_hi - lev_lo)
+    # x_left + (p - lev_lo) * (x_right - x_left) / (lev_hi - lev_lo), on integers.
+    pn, pd = p.numerator, p.denominator
+    an, ad, bn, bd = lev_lo.numerator, lev_lo.denominator, lev_hi.numerator, lev_hi.denominator
+    ln, ld, rn, rd = x_left.numerator, x_left.denominator, x_right.numerator, x_right.denominator
+    return _ratio_sum(
+        ln, ld, (pn * ad - an * pd) * (rn * ld - ln * rd) * bd, pd * rd * ld * (bn * ad - an * bd)
+    )[0]
 
 
 def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:

@@ -39,7 +39,14 @@ from .distributions import (
     close,
     leq,
 )
-from .mixture import MixtureSpec, _draws, direct_quantile, mixture_cdf, mixture_cdf_left_limit
+from .mixture import (
+    MixtureSpec,
+    _draws,
+    _mix_levels,
+    direct_quantile,
+    mixture_cdf,
+    mixture_cdf_left_limit,
+)
 from .split import QuantileSolution, split_quantile
 
 __all__ = [
@@ -469,12 +476,12 @@ def cross_check(
                 bad = [c.relation for c in classification.relations_checked if not c.holds]
                 failures.append(f"cell {classification.label.cell_id} relations: {bad}")
 
-    # Sandwich: F_S(s_p-) <= p <= F_S(s_p), formed as in ``mixture_cdf`` from
-    # the four component CDF values that the bracketing below reads too.
+    # Sandwich: F_S(s_p-) <= p <= F_S(s_p), formed as ``mixture_cdf`` forms it
+    # from the four component CDF values that the bracketing below reads too.
     fx_left, fx_right = m.x.cdf_left_limit(s_p), m.x.cdf(s_p)
     gy_left, gy_right = m.y.cdf_left_limit(s_p), m.y.cdf(s_p)
-    left = m.q * fx_left + (1 - m.q) * gy_left
-    right = m.q * fx_right + (1 - m.q) * gy_right
+    left = _mix_levels(m.q, fx_left, gy_left)
+    right = _mix_levels(m.q, fx_right, gy_right)
     sandwich_ok = leq(left, p, exact) and leq(p, right, exact, LEVEL_ROUNDING)
     if not sandwich_ok:
         failures.append(f"sandwich {left} <= {p} <= {right} violated")

@@ -11,12 +11,16 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mixquant.cli import main
 from mixquant.distributions import Piecewise
-from mixquant.serialization import exact_number_to_string, extended_to_string
+from mixquant.mixture import MixtureSpec
+from mixquant.serialization import exact_number_to_string, extended_to_string, serialize_mixture
 from mixquant.split import QuantileSolution
 from reference import ref_cdf, ref_merged, ref_quantile
+from test_distributions import FAR_LAW, rational_piecewise_dists
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 FRESH_MAIN = "import sys; from mixquant.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -399,6 +403,84 @@ def test_curve_on_a_wide_document_matches_the_reference(
     assert merge_counter == []
     expected = _reference_curve(F(2, 5), x, y, F(-1), F(61), 16)
     assert out.read_text(encoding="utf-8") == expected
+
+
+def _assert_curve_matches_the_reference(spec_file, out, q, x, y, steps):
+    """``curve`` over the joint support, widened on each side by a third of
+    its width (of its end, or by 1, where it is one point), equals
+    ``_reference_curve``."""
+    ends = [*x.support_bounds(), *y.support_bounds()]
+    lo, hi = min(ends), max(ends)
+    pad = (hi - lo) / 3 or abs(lo) or 1
+    lo, hi = lo - pad, hi + pad
+    argv = [
+        "curve", "--spec", spec_file(serialize_mixture(MixtureSpec(q, x, y))),
+        f"--from={exact_number_to_string(lo)}", f"--to={exact_number_to_string(hi)}",
+        "--steps", str(steps), "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert out.read_text(encoding="utf-8") == _reference_curve(q, x, y, lo, hi, steps)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    rational_piecewise_dists(),
+    rational_piecewise_dists(),
+    st.sampled_from([F(2, 7), F(9, 11)]),
+    st.integers(2, 9),
+)
+def test_curve_matches_the_reference_off_the_lattice(spec_file, tmp_path, capsys, x, y, q, steps):
+    _assert_curve_matches_the_reference(spec_file, tmp_path / "curve.csv", q, x, y, steps)
+    capsys.readouterr()
+
+
+def test_curve_matches_the_reference_past_the_float_range(spec_file, tmp_path):
+    near = Piecewise(atoms=[(F(-1, 3), F(1, 2))], segments=[(F(-2, 7), F(5, 3), F(1, 2))])
+    for x, y in ((FAR_LAW, near), (near, FAR_LAW)):
+        _assert_curve_matches_the_reference(spec_file, tmp_path / "curve.csv", F(2, 7), x, y, 7)
+
+
+#: ``curve --from -1 --to 2 --steps 4`` on piecewise X with Normal Y, and
+#: swapped: the piecewise side's F or G is exact, FS and QS are floats.
+MIXED_CURVES = {
+    "piecewise-normal": (
+        {"q": "1/3", "X": _PIECES, "Y": _NORMAL},
+        "x,F,G,FS\n"
+        "-1,0,0.15865525393145707,0.10577016928763805\n"
+        "0,0.25,0.5,0.41666666666666663\n"
+        "1,0.75,0.8413447460685429,0.8108964973790286\n"
+        "2,1,0.9772498680518208,0.9848332453678805\n\n"
+        "p,Qx,Qy,QS\n"
+        "0.2,0,-0.8416212335729142,-0.5244005127080409\n"
+        "0.4,0.3,-0.2533471031357998,-0.0\n"
+        "0.6,0.7,0.2533471031357998,0.43178922418542864\n"
+        "0.8,2,0.8416212335729144,0.9670440382861982\n",
+    ),
+    "normal-piecewise": (
+        {"q": "2/3", "X": _NORMAL, "Y": _PIECES},
+        "x,F,G,FS\n"
+        "-1,0.15865525393145707,0,0.10577016928763805\n"
+        "0,0.5,0.25,0.41666666666666663\n"
+        "1,0.8413447460685429,0.75,0.8108964973790286\n"
+        "2,0.9772498680518208,1,0.9848332453678805\n\n"
+        "p,Qx,Qy,QS\n"
+        "0.2,-0.8416212335729142,0,-0.5244005127080408\n"
+        "0.4,-0.2533471031357998,0.3,-0.0\n"
+        "0.6,0.2533471031357998,0.7,0.43178922418542864\n"
+        "0.8,0.8416212335729144,2,0.9670440382861982\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MIXED_CURVES)
+def test_two_sided_mixed_curve_tables_are_pinned(name, spec_file, tmp_path):
+    doc, table = MIXED_CURVES[name]
+    out = tmp_path / "curve.csv"
+    argv = ["curve", "--spec", spec_file(doc), "--from", "-1", "--to", "2", "--steps", "4"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == table
 
 
 def test_curve_rejects_a_bad_grid(spec_file, tmp_path):

@@ -56,6 +56,55 @@ def piecewise_dists(draw):
 levels = st.fractions(min_value=F(1, 500), max_value=1, max_denominator=500)
 points = st.fractions(min_value=-6, max_value=6, max_denominator=64)
 
+#: Scales of ``rational_piecewise_dists``: a wrong width or slope factor in
+#: an integer formula shows at 10**+-30 even where it cancels at scale 1.
+RATIONAL_SCALES = (F(1), F(10**30), F(1, 10**30))
+
+
+@st.composite
+def rational_piecewise_dists(draw):
+    """Small random piecewise laws off any lattice.
+
+    Positions are rationals of coprime numerator and denominator (up to
+    97), some negative, times a scale from ``RATIONAL_SCALES``.  Segments
+    join consecutive positions, so their widths vary and chosen neighbours
+    touch; atoms sit strictly inside segments, on their ends, or apart.
+    Masses are drawn weights over their total.
+    """
+    scale = draw(st.sampled_from(RATIONAL_SCALES))
+    cuts = draw(
+        st.lists(
+            st.fractions(min_value=-40, max_value=40, max_denominator=97),
+            min_size=2,
+            max_size=6,
+            unique=True,
+        )
+    )
+    cuts = sorted(c * scale for c in cuts)
+    spans = list(zip(cuts, cuts[1:]))
+    chosen = draw(st.lists(st.sampled_from(spans), max_size=3, unique=True))
+    # Candidate atom sites: every cut, and a point strictly inside each span.
+    share = st.fractions(F(1, 50), F(49, 50), max_denominator=50)
+    inside = [a + (b - a) * draw(share) for a, b in spans]
+    n_min = 0 if chosen else 1
+    sites = draw(st.lists(st.sampled_from(cuts + inside), min_size=n_min, max_size=3, unique=True))
+    n = len(sites) + len(chosen)
+    weights = draw(st.lists(st.integers(1, 13), min_size=n, max_size=n))
+    total = sum(weights)
+    atoms = [(site, F(w, total)) for site, w in zip(sites, weights)]
+    segments = [(a, b, F(w, total)) for (a, b), w in zip(sorted(chosen), weights[len(sites):])]
+    return Piecewise(atoms, segments)
+
+
+#: A law past the float range: positions near 10**400, an atom on a segment's
+#: left end, one on a shared end, one strictly inside a segment, and
+#: segments of widths 4*10**400/3 and 10**400/3 + 1.
+FAR = 10**400
+FAR_LAW = Piecewise(
+    atoms=[(-FAR, F(1, 7)), (F(FAR, 3), F(2, 11)), (F(2 * FAR, 3), F(1, 13))],
+    segments=[(-FAR, F(FAR, 3), F(3, 7)), (F(FAR, 3), F(2 * FAR, 3) + 1, F(170, 1001))],
+)
+
 
 # ---------------------------------------------------------------------------
 # frozen examples
@@ -218,6 +267,34 @@ def test_piece_slopes_match_their_ends(d):
             assert piece.slope == 0
         else:
             assert piece.slope == (piece.x_right - piece.x_left) / (piece.lev_hi - piece.lev_lo)
+
+
+def probe_points(d, share=F(1, 3)):
+    """Breakpoints of ``d``, a point ``share`` of the way into each gap
+    between them, and one point beyond each end."""
+    pts = breakpoints(d)
+    inner = [a + (b - a) * share for a, b in zip(pts, pts[1:])]
+    width = pts[-1] - pts[0] or abs(pts[0]) or 1
+    return pts + inner + [pts[0] - width, pts[-1] + width / 7]
+
+
+def _assert_cdf_and_slopes_match_reference(d, xs):
+    for x in xs:
+        assert d.cdf(x) == ref_cdf(d, x), x
+        assert d.cdf_left_limit(x) == ref_cdf_left(d, x), x
+    for piece in d.quantile_pieces():
+        if piece.x_left != piece.x_right:
+            assert piece.slope == (piece.x_right - piece.x_left) / (piece.lev_hi - piece.lev_lo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_piecewise_dists(), st.fractions(F(1, 97), F(96, 97), max_denominator=97))
+def test_cdf_and_slopes_match_reference_off_the_lattice(d, share):
+    _assert_cdf_and_slopes_match_reference(d, probe_points(d, share))
+
+
+def test_cdf_and_slopes_match_reference_past_the_float_range():
+    _assert_cdf_and_slopes_match_reference(FAR_LAW, probe_points(FAR_LAW))
 
 
 @settings(max_examples=150, deadline=None)

@@ -41,7 +41,13 @@ from mixquant.verification import InstanceGenConfig, generate_instance, monte_ca
 
 from reference import breakpoints, ref_cdf, ref_cdf_left, ref_merged, ref_quantile
 from test_cli import _adjacent_units
-from test_distributions import levels, piecewise_dists, points
+from test_distributions import (
+    FAR_LAW,
+    levels,
+    piecewise_dists,
+    points,
+    rational_piecewise_dists,
+)
 from test_float_filter import FIXTURES
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -445,6 +451,36 @@ def test_direct_quantile_matches_reference_merge(x, y, q, p):
         p = F(999, 1000)
     m = MixtureSpec(q, x, y)
     assert direct_quantile(m, p) == ref_quantile(_reference_merge(m), p)
+
+
+def _assert_direct_quantile_matches_reference_merge(m, levels=()):
+    """Direct inversion equals ``ref_quantile`` of the reference merge at
+    every top level but the last, every piece's midpoint and ``levels``, in
+    both orientations."""
+    for mm in (m, m.swapped()):
+        reference = _reference_merge(mm)
+        pieces, _ = mm.pieces
+        probes = {lev_hi for _, lev_hi, _, _ in pieces[:-1]} | set(levels)
+        probes |= {(lev_lo + lev_hi) / 2 for lev_lo, lev_hi, _, _ in pieces}
+        for p in sorted(probes):
+            assert direct_quantile(mm, p) == ref_quantile(reference, p), (mm, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rational_piecewise_dists(),
+    rational_piecewise_dists(),
+    st.sampled_from([F(2, 7), F(1, 3), F(9, 11)]),
+    st.fractions(F(1, 997), F(996, 997), max_denominator=997),
+)
+def test_direct_quantile_matches_reference_merge_off_the_lattice(x, y, q, p):
+    _assert_direct_quantile_matches_reference_merge(MixtureSpec(q, x, y), [p])
+
+
+def test_direct_quantile_matches_reference_merge_past_the_float_range():
+    near = Piecewise(atoms=[(F(-1, 3), F(1, 2))], segments=[(F(-2, 7), F(5, 3), F(1, 2))])
+    for other in (near, FAR_LAW):
+        _assert_direct_quantile_matches_reference_merge(MixtureSpec(F(2, 7), FAR_LAW, other))
 
 
 def test_numeric_quantile_on_parametric_pair():
