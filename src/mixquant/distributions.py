@@ -99,22 +99,32 @@ def close(a: ExtendedReal, b: ExtendedReal, exact: bool, tol=FLOAT_TOL, relative
 class QuantilePiece(NamedTuple):
     """One stretch of a generalized inverse, as a named tuple.
 
-    Maps levels in ``(lev_lo, lev_hi]`` affinely onto ``[x_left, x_right]``
-    with ``slope = (x_right - x_left)/(lev_hi - lev_lo)``.  Atoms appear as
-    constant pieces with ``x_left == x_right`` and slope 0.  Being a tuple,
-    a piece is immutable and hashable and unpacks in field order.
+    Maps levels in ``(lev_lo, lev_hi]`` affinely onto ``[x_left, x_right]``.
+    Atoms appear as constant pieces with ``x_left == x_right``; ``_sweep``,
+    which builds the pieces of a ``Piecewise`` and of a mixture, stores an
+    atom's point as one object twice.
+    The rate of a segment piece is not stored here: ``value_at`` forms the
+    affine map from the four ends.  Being a tuple, a piece is immutable and
+    hashable and unpacks in field order.
     """
 
     lev_lo: Fraction
     lev_hi: Fraction
     x_left: Fraction
     x_right: Fraction
-    slope: Fraction
 
     def value_at(self, p: Fraction) -> Fraction:
-        if not self.slope:
-            return self.x_left
-        return self.x_left + (p - self.lev_lo) * self.slope
+        """x_left + (p - lev_lo)*(x_right - x_left)/(lev_hi - lev_lo), on integers."""
+        lev_lo, lev_hi, x_left, x_right = self
+        if x_left is x_right:
+            return x_left
+        pn, pd = p.as_integer_ratio()
+        an, ad = lev_lo.as_integer_ratio()
+        bn, bd = lev_hi.as_integer_ratio()
+        ln, ld = x_left.as_integer_ratio()
+        rn, rd = x_right.as_integer_ratio()
+        num = (pn * ad - an * pd) * (rn * ld - ln * rd) * bd
+        return _ratio_sum(ln, ld, num, pd * rd * ld * (bn * ad - an * bd))[0]
 
 
 _ZERO = Fraction(0)
@@ -123,16 +133,6 @@ _LEV_HI = attrgetter("lev_hi")
 # Sort key of rows ``(float key, exact value, ...)``: the exact value is read
 # only where the floats tie, and the sort is stable, as by the exact value.
 _FLOAT_THEN_EXACT = itemgetter(0, 1)
-
-
-def _float_key(value: Fraction) -> float:
-    """The correctly rounded float of ``value``, or +-inf beyond the float range."""
-    try:
-        # What float(value) computes, without its two int() calls.
-        return value.numerator / value.denominator
-    except OverflowError:
-        # Compare, do not convert: converting ``value`` again would raise.
-        return POS_INF if value > 0 else NEG_INF
 
 
 def _ratio_sum(n: int, d: int, num: int, den: int) -> tuple[Fraction, int, int]:
@@ -184,24 +184,25 @@ def _sweep(events: list):
     first, then the atom, then the stretch starting there, and coincident
     atoms become one piece.
 
-    Returns four columns in level order: the pieces ``(lev_lo, lev_hi,
-    x_left, x_right)``, each one's density pair (None for an atom), and
-    float copies of ``x_left`` and ``lev_hi``.  An atom's piece holds its
-    point as one object twice; pieces that meet share the object of their
-    common x.  Densities and masses are summed as pairs (``_pair_sum``);
+    Returns four columns in level order: the ``QuantilePiece``s, each one's
+    density pair (None for an atom), and float copies of ``x_left`` and
+    ``lev_hi``.  An atom's piece holds its point as one object twice;
+    pieces that meet share the object of their common x.  Densities and masses are summed as pairs (``_pair_sum``);
     the running level is a reduced pair, and ``_ratio_sum`` makes each
     level from it.
     """
     events.sort(key=_FLOAT_THEN_EXACT)
     events.append(_END)
     pieces, densities, x_lefts, lev_his = [], [], array("d"), array("d")
+    # What ``QuantilePiece(...)`` calls, without its Python frame per piece.
+    new_piece = tuple.__new__
     cum, cn, cd = _ZERO, 0, 1
     mass = f_at = at = x_density = y_density = None
     for f_x, x, xn, xd, side, value in events:
         if f_x != f_at or x is not at and x != at:
             if mass is not None:
                 top, cn, cd = _ratio_sum(cn, cd, *mass)
-                pieces.append((cum, top, at, at))
+                pieces.append(new_piece(QuantilePiece, (cum, top, at, at)))
                 densities.append(None)
                 x_lefts.append(f_at)
                 lev_his.append(_quotient(cn, cd))
@@ -215,7 +216,7 @@ def _sweep(events: list):
                 # The stretch from at to x rises density * (x - at).
                 dn, dd = density
                 top, cn, cd = _ratio_sum(cn, cd, dn * (xn * ad - an * xd), dd * xd * ad)
-                pieces.append((cum, top, at, x))
+                pieces.append(new_piece(QuantilePiece, (cum, top, at, x)))
                 densities.append(density)
                 x_lefts.append(f_at)
                 lev_his.append(_quotient(cn, cd))
@@ -238,13 +239,13 @@ def _pair_sum(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 def _find_cut(pieces, cuts: array, key, value: Fraction, find) -> int:
     """``find(pieces, value, key=key)``, decided on the float copies ``cuts``.
 
-    ``cuts[i]`` is ``_float_key(key(pieces[i]))``.  Rounding is monotone, so
-    a cut whose float lies below (above) the float of ``value`` lies below
-    (above) ``value`` itself; only the run of cuts whose floats equal it is
-    searched exactly, with ``find`` (``bisect.bisect_left`` or
-    ``bisect.bisect_right``).
+    ``cuts[i]`` is the float of ``key(pieces[i])`` (``_quotient``).  Rounding
+    is monotone, so a cut whose float lies below (above) the float of
+    ``value`` lies below (above) ``value`` itself; only the run of cuts whose
+    floats equal it is searched exactly, with ``find`` (``bisect.bisect_left``
+    or ``bisect.bisect_right``).
     """
-    f = _float_key(value)
+    f = _quotient(*value.as_integer_ratio())
     i = bisect.bisect_left(cuts, f)
     if i == len(cuts) or cuts[i] != f:
         return i
@@ -307,12 +308,9 @@ class Piecewise(Distribution):
     on the floats of the positions, which then fill ``_x_lefts``.
 
     ``_densities`` keeps each piece's density as the sweep summed it, an
-    unreduced integer pair (None for an atom).  The CDF inside a segment
-    and the mixture walk read it instead of the slope, so neither reads a
-    ``Fraction``'s properties for it.  A segment piece's slope is
-    1/density, and pieces whose density pair repeats share one slope
-    ``Fraction``: segments of one width and rise, as adjacent unit segments
-    of few distinct weights have, build it once.
+    unreduced integer pair (None for an atom), and is the one stored rate:
+    the CDF inside a segment and the mixture walk read it, and the inverse
+    (``QuantilePiece.value_at``) forms its map from the piece's ends.
     """
 
     is_exact = True
@@ -380,23 +378,10 @@ class Piecewise(Distribution):
                 raise ValueError(f"duplicate atom location {at}")
             f_loc, loc = f_at, at
             events.append((f_at, at, ln, ld, None, (mn, md)))
-        pieces, densities, self._x_lefts, self._lev_his = _sweep(events)
-        total = pieces[-1][1] if pieces else _ZERO
+        pieces, self._densities, self._x_lefts, self._lev_his = _sweep(events)
+        total = pieces[-1].lev_hi if pieces else _ZERO
         if total != 1:
             raise ValueError(f"atom masses plus segment rises must equal 1, got {total}")
-        self._densities = densities
-        # A segment's slope is 1/density; pieces of one density pair share
-        # one slope.  ``QuantilePiece(...)`` calls ``tuple.__new__``;
-        # calling it here saves a Python frame per piece.
-        slopes = {}
-        for k, d in enumerate(densities):
-            if d is None:
-                slope = _ZERO
-            else:
-                slope = slopes.get(d)
-                if slope is None:
-                    slope = slopes[d] = Fraction(d[1], d[0])
-            pieces[k] = tuple.__new__(QuantilePiece, (*pieces[k], slope))
         self._pieces = tuple(pieces)
 
     # -- construction helpers -------------------------------------------------
@@ -430,7 +415,7 @@ class Piecewise(Distribution):
         j = _find_cut(self._pieces, self._x_lefts, _X_LEFT, x, find) - 1
         if j < 0:
             return _ZERO
-        lev_lo, lev_hi, x_left, x_right, _ = self._pieces[j]
+        lev_lo, lev_hi, x_left, x_right = self._pieces[j]
         if x >= x_right:
             return lev_hi
         # Inside a segment: lev_lo + density * (x - x_left), on integers.
@@ -472,14 +457,15 @@ class Piecewise(Distribution):
     def flat_left_of(self, x: RealLike) -> tuple[bool, Fraction | None]:
         x = as_fraction(x)
         # The last piece starting below x covers x exactly when it is a
-        # segment reaching x; otherwise the CDF is flat on (x_right, x).
+        # segment reaching x; otherwise the CDF is flat on (x_right, x).  An
+        # atom's piece holds its point as one object twice (``_sweep``).
         j = _find_cut(self._pieces, self._x_lefts, _X_LEFT, x, bisect.bisect_left) - 1
         if j < 0:
             return True, x - 1
-        piece = self._pieces[j]
-        if piece.slope and x <= piece.x_right:
+        _, _, x_left, x_right = self._pieces[j]
+        if x_left is not x_right and x <= x_right:
             return False, None
-        return True, (piece.x_right + x) / 2
+        return True, (x_right + x) / 2
 
     def support_bounds(self) -> tuple[Fraction, Fraction]:
         return self._pieces[0].x_left, self._pieces[-1].x_right
@@ -494,7 +480,7 @@ class Piecewise(Distribution):
         # A support end or width past the float range has no float draws; a
         # DomainError, as in the grid oracle.
         lo, hi = self.support_bounds()
-        if not all(math.isfinite(_float_key(v)) for v in (lo, hi, hi - lo)):
+        if not all(math.isfinite(_quotient(*v.as_integer_ratio())) for v in (lo, hi, hi - lo)):
             raise DomainError("piecewise sample support exceeds the float range")
         weights = np.array(
             [float(piece.lev_hi - piece.lev_lo) for piece in self._pieces]
@@ -529,6 +515,22 @@ class Piecewise(Distribution):
         return hash((self.atoms, self.segments))
 
 
+def _float_arg(x: RealLike) -> float:
+    """x as the float a parametric family computes on.
+
+    A float passes as it is, +-inf included.  An exact x past the float
+    range has no float and raises ``DomainError``: saturating to +-inf
+    would misplace it, since a law may still be far from 0 or 1 there.
+    """
+    if isinstance(x, float):
+        return x
+    x = as_fraction(x)
+    f = _quotient(*x.as_integer_ratio())
+    if math.isinf(f):
+        raise DomainError("parametric argument lies past the float range (about +-1.8e308)")
+    return f
+
+
 class Parametric(Distribution):
     """Continuous parametric family; strictly increasing inside its support.
 
@@ -546,10 +548,10 @@ class Parametric(Distribution):
         raise NotImplementedError
 
     def cdf(self, x: RealLike) -> float:
-        return self._cdf(float(x))
+        return self._cdf(_float_arg(x))
 
     def cdf_left_limit(self, x: RealLike) -> float:
-        return self._cdf(float(x))
+        return self._cdf(_float_arg(x))
 
     def quantile(self, p: RealLike) -> float:
         p = float(p)
@@ -566,7 +568,7 @@ class Parametric(Distribution):
 
     def flat_left_of(self, x: RealLike) -> tuple[bool, float | None]:
         lo, hi = self.support_bounds()
-        x = float(x)
+        x = _float_arg(x)
         if x <= lo:
             return True, x - 1.0
         if x > hi:

@@ -16,16 +16,16 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 
 from .distributions import (
     DomainError,
     Distribution,
     ExtendedReal,
     Piecewise,
+    QuantilePiece,
     RealLike,
+    _LEV_HI,
     _find_cut,
-    _float_key,
     _quotient,
     _ratio_sum,
     _sweep,
@@ -42,8 +42,6 @@ __all__ = [
     "bisect_float",
     "sample",
 ]
-
-_LEV_HI = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -76,11 +74,11 @@ class MixtureSpec:
         return self.x if self.q == 1 else self.y if self.q == 0 else None
 
     @cached_property
-    def pieces(self) -> tuple[tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...], array]:
+    def pieces(self) -> tuple[tuple[QuantilePiece, ...], array]:
         """The mixture CDF's quantile pieces and a float copy of their top levels.
 
-        Each piece ``(lev_lo, lev_hi, x_left, x_right)`` is one affine stretch
-        of the inverse of q*F + (1-q)*G, an atom when x_left == x_right; the
+        Each ``QuantilePiece`` is one affine stretch of the inverse of
+        q*F + (1-q)*G, an atom when x_left == x_right, as a component's; the
         floats are the ``_find_cut`` cuts of the ``lev_hi`` column.  Walked on
         first use (``_walk_pieces``) and then reused.
         """
@@ -140,13 +138,13 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
 def _walk_pieces(m: MixtureSpec) -> tuple[tuple, array]:
     """``MixtureSpec.pieces``, swept from the components' own pieces.
 
-    The pieces ``(lev_lo, lev_hi, x_left, x_right)`` of q*F + (1-q)*G in
-    level order, and the floats of their ``lev_hi``.  Each component piece
-    becomes ``_sweep`` events of its side: a segment piece sets the side's
-    density, ``weight`` times the one its build stored (``_densities``), at
-    its left end and clears it at its right end, and an atom piece adds the
-    mass ``weight * (lev_hi - lev_lo)`` at its point, both as unreduced
-    integer pairs.  A side of weight 0 has no events.
+    The ``QuantilePiece``s of q*F + (1-q)*G in level order, and the floats
+    of their ``lev_hi``.  Each component piece becomes ``_sweep`` events of
+    its side: a segment piece sets the side's density, ``weight`` times the
+    one its build stored (``_densities``), at its left end and clears it at
+    its right end, and an atom piece adds the mass ``weight * (lev_hi -
+    lev_lo)`` at its point, both as unreduced integer pairs.  A side of
+    weight 0 has no events.
     """
     events = []
     for side, (weight, comp) in enumerate(((m.q, m.x), (1 - m.q, m.y))):
@@ -158,7 +156,7 @@ def _walk_pieces(m: MixtureSpec) -> tuple[tuple, array]:
         # stretch starting at that object replaces it, and an atom there
         # lends it its float.
         end = None
-        for (lev_lo, lev_hi, x_left, x_right, _), f_left, density in zip(
+        for (lev_lo, lev_hi, x_left, x_right), f_left, density in zip(
             comp._pieces, comp._x_lefts, comp._densities
         ):
             if end is not None and not (density is not None and end is x_left):
@@ -211,19 +209,7 @@ def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
     if not m.is_exact:
         return numeric_quantile(m, p)
     pieces, cuts = m.pieces
-    lev_lo, lev_hi, x_left, x_right = pieces[
-        _find_cut(pieces, cuts, _LEV_HI, p, bisect.bisect_left)
-    ]
-    # An atom's piece holds its point as one object twice (``_sweep``).
-    if x_left is x_right:
-        return x_left
-    # x_left + (p - lev_lo) * (x_right - x_left) / (lev_hi - lev_lo), on integers.
-    pn, pd = p.numerator, p.denominator
-    an, ad, bn, bd = lev_lo.numerator, lev_lo.denominator, lev_hi.numerator, lev_hi.denominator
-    ln, ld, rn, rd = x_left.numerator, x_left.denominator, x_right.numerator, x_right.denominator
-    return _ratio_sum(
-        ln, ld, (pn * ad - an * pd) * (rn * ld - ln * rd) * bd, pd * rd * ld * (bn * ad - an * bd)
-    )[0]
+    return pieces[_find_cut(pieces, cuts, _LEV_HI, p, bisect.bisect_left)].value_at(p)
 
 
 def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
@@ -252,7 +238,8 @@ def numeric_quantile(m: MixtureSpec, p: RealLike) -> float:
         return q * float(x_cdf(x)) + r * float(y_cdf(x)) - p
 
     qx, qy = m.x.quantile(p), m.y.quantile(p)
-    if any(isinstance(end, Fraction) and math.isinf(_float_key(end)) for end in (qx, qy)):
+    ends = [end for end in (qx, qy) if isinstance(end, Fraction)]
+    if any(math.isinf(_quotient(*end.as_integer_ratio())) for end in ends):
         raise DomainError(f"a piecewise bracket end at level {p} has no float")
     # F_S >= q*p + (1-q)*p = p at the larger, and below the smaller both
     # CDFs fall short of p, so the crossing lies between them.

@@ -32,7 +32,7 @@ from .distributions import (
     Piecewise,
     QuantilePiece,
     RealLike,
-    _float_key,
+    _quotient,
     as_fraction,
     close,
 )
@@ -150,7 +150,7 @@ def _reach_level(m: MixtureSpec, p: Fraction, s_p: ExtendedReal) -> ExtendedReal
     included, is left as it is.
     """
     for _ in range(_MAX_ULP_STEPS):
-        f_s = _float_key(s_p) if isinstance(s_p, Fraction) else s_p
+        f_s = _quotient(*s_p.as_integer_ratio()) if isinstance(s_p, Fraction) else s_p
         if not math.isfinite(f_s) or mixture_cdf(m, s_p) >= p - LEVEL_ROUNDING:
             break
         s_p = math.nextafter(s_p, math.inf)

@@ -671,6 +671,20 @@ def test_piecewise_atom_past_the_float_range(spec_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_curve_past_the_float_range_of_a_parametric_side_exits_3(spec_file, tmp_path, capsys):
+    # The grid reaches 10**400, where the normal CDF has no float argument.
+    doc = {
+        "q": "1/2",
+        "X": {"kind": "normal", "mu": 0, "sigma": 1},
+        "Y": {"kind": "piecewise", "atoms": [["0", "1"]], "segments": []},
+    }
+    out = str(tmp_path / "curve.csv")
+    argv = ["curve", "--spec", spec_file(doc), "--from", "0", "--to", str(10**400)]
+    assert main(argv + ["--steps", "3", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "float range" in err
+
+
 def test_non_ascii_digits_exit_2(spec_file, capsys):
     arabic_q = spec_file(dict(TWO_ATOMS, q="\u0661/\u0662"))
     assert main(["quantile", "--spec", arabic_q, "--p", "0.5"]) == 2

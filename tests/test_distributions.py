@@ -26,7 +26,14 @@ from mixquant.distributions import (
 )
 from mixquant.mixture import MixtureSpec, sample
 
-from reference import breakpoints, ref_cdf, ref_cdf_left, ref_flat_left_of, ref_quantile
+from reference import (
+    _affine,
+    breakpoints,
+    ref_cdf,
+    ref_cdf_left,
+    ref_flat_left_of,
+    ref_quantile,
+)
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -169,10 +176,15 @@ def test_quantile_piece_contract():
         atom.x_left = F(5)
     assert hash(stretch) == hash(QuantilePiece(*stretch))
     assert len({atom, stretch, QuantilePiece(*atom)}) == 2
-    lev_lo, lev_hi, x_left, x_right, slope = stretch
-    assert (lev_lo, lev_hi, x_left, x_right, slope) == (F(1, 2), 1, 1, 3, 4)
+    assert QuantilePiece._fields == ("lev_lo", "lev_hi", "x_left", "x_right")
+    lev_lo, lev_hi, x_left, x_right = stretch
+    assert (lev_lo, lev_hi, x_left, x_right) == (F(1, 2), 1, 1, 3)
+    assert atom.x_left is atom.x_right
     assert [atom.value_at(p) for p in (F(1, 4), F(1, 2))] == [0, 0]
     assert [stretch.value_at(p) for p in (F(5, 8), F(3, 4), 1)] == [F(3, 2), 2, 3]
+    # Equal but distinct atom ends take the affine map, which is constant.
+    twin = QuantilePiece(F(0), F(1, 2), F(0), F(0))
+    assert [twin.value_at(p) for p in (F(1, 4), F(1, 2))] == [0, 0]
     assert [d.quantile(p) for p in (F(1, 4), F(1, 2), F(5, 8), F(3, 4), 1)] == [0, 0, F(3, 2), 2, 3]
 
 
@@ -259,14 +271,25 @@ def test_continuity_and_support_match_reference(d, x, data):
         assert d.is_continuous_at(t) == (ref_cdf(d, t) == ref_cdf_left(d, t))
 
 
-@settings(max_examples=100, deadline=None)
-@given(piecewise_dists())
+def assert_value_at_matches_affine(pieces):
+    """Each piece is a ``QuantilePiece`` whose ``value_at`` equals the
+    reference line through its ends (``_affine``) at its two level ends and
+    their midpoint."""
+    for piece in pieces:
+        assert type(piece) is QuantilePiece, piece
+        intercept, slope = _affine(piece)
+        for p in (piece.lev_lo, (piece.lev_lo + piece.lev_hi) / 2, piece.lev_hi):
+            assert piece.value_at(p) == intercept + slope * p, (piece, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(piecewise_dists(), rational_piecewise_dists()))
 def test_piece_slopes_match_their_ends(d):
-    for piece in d.quantile_pieces():
-        if piece.x_left == piece.x_right:
-            assert piece.slope == 0
-        else:
-            assert piece.slope == (piece.x_right - piece.x_left) / (piece.lev_hi - piece.lev_lo)
+    assert_value_at_matches_affine(d.quantile_pieces())
+
+
+def test_piece_slopes_match_their_ends_past_the_float_range():
+    assert_value_at_matches_affine(FAR_LAW.quantile_pieces())
 
 
 def probe_points(d, share=F(1, 3)):
@@ -282,9 +305,11 @@ def _assert_cdf_and_slopes_match_reference(d, xs):
     for x in xs:
         assert d.cdf(x) == ref_cdf(d, x), x
         assert d.cdf_left_limit(x) == ref_cdf_left(d, x), x
+    # A segment piece inverts the CDF's left limit on (x_left, x_right].
     for piece in d.quantile_pieces():
         if piece.x_left != piece.x_right:
-            assert piece.slope == (piece.x_right - piece.x_left) / (piece.lev_hi - piece.lev_lo)
+            for x in ((piece.x_left + piece.x_right) / 2, piece.x_right):
+                assert piece.value_at(ref_cdf_left(d, x)) == x, (piece, x)
 
 
 @settings(max_examples=150, deadline=None)
@@ -417,6 +442,23 @@ def test_parametric_quantile_rejects_levels_outside_the_unit_interval():
         for p in (-0.25, 1.5, F(-1, 10), F(11, 10)):
             with pytest.raises(DomainError, match="quantile level must lie in"):
                 d.quantile(p)
+
+
+@pytest.mark.parametrize(
+    "d", [Uniform(0, 1), Normal(0, 1), Exponential(1e-308), LogNormal(1e5, 1)], ids=repr
+)
+def test_parametric_arguments_past_the_float_range_are_a_domain_error(d):
+    # No float stands for them, and saturating to +-inf would misplace them:
+    # Exponential(1e-308) has F near 0.86 at 2*10**308, LogNormal(1e5, 1) F = 0
+    # at 10**400.
+    for x in (10**400, -(10**400), F(2 * 10**308), F(-(10**401), 3)):
+        for query in (d.cdf, d.cdf_left_limit, d.flat_left_of):
+            with pytest.raises(DomainError, match="float range"):
+                query(x)
+    # Just inside the range, and a float infinity, the queries still answer.
+    big = F(int(1.7e308))
+    assert d.cdf(big) == d.cdf(1.7e308) and d.cdf(math.inf) == 1.0
+    assert d.flat_left_of(-big) == d.flat_left_of(-1.7e308)
 
 
 def test_parametric_flatness_outside_support():

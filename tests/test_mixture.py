@@ -43,6 +43,7 @@ from reference import breakpoints, ref_cdf, ref_cdf_left, ref_merged, ref_quanti
 from test_cli import _adjacent_units
 from test_distributions import (
     FAR_LAW,
+    assert_value_at_matches_affine,
     levels,
     piecewise_dists,
     points,
@@ -396,11 +397,13 @@ def test_walked_pieces_equal_the_merged_pieces(name):
             reference = _reference_merge(mm)
             pieces, cuts = mm.pieces
             assert pieces == _reference_pieces(reference), mm
+            assert_value_at_matches_affine(pieces)
             # Each component's built levels are its CDF at the piece ends,
             # the left limit where the level stops short of an atom there.
             for comp in (mm.x, mm.y):
-                for lev_lo, lev_hi, x_left, x_right, slope in comp.quantile_pieces():
-                    low, high = (ref_cdf, ref_cdf_left) if slope else (ref_cdf_left, ref_cdf)
+                for lev_lo, lev_hi, x_left, x_right in comp.quantile_pieces():
+                    segment = x_left != x_right
+                    low, high = (ref_cdf, ref_cdf_left) if segment else (ref_cdf_left, ref_cdf)
                     assert (lev_lo, lev_hi) == (low(comp, x_left), high(comp, x_right)), comp
             assert list(cuts) == [float(lev_hi) for _, lev_hi, _, _ in pieces]
             probes = {lev_hi for _, lev_hi, _, _ in pieces[:-1]}
