@@ -441,12 +441,6 @@ class Piecewise(Distribution):
         j = _find_cut(self._pieces, self._lev_his, _LEV_HI, p, bisect.bisect_left)
         return self._pieces[j].value_at(p)
 
-    def _levels_inside(self, lo: Fraction, hi: Fraction) -> tuple[int, int]:
-        """Index range of the pieces whose top level cut lies strictly inside (lo, hi)."""
-        pieces, cuts = self._pieces, self._lev_his
-        start = _find_cut(pieces, cuts, _LEV_HI, lo, bisect.bisect_right)
-        return start, _find_cut(pieces, cuts, _LEV_HI, hi, bisect.bisect_left)
-
     def is_continuous_at(self, x: RealLike) -> bool:
         x = as_fraction(x)
         # An atom at x is the first piece starting at or after x, and the

@@ -196,18 +196,27 @@ def _checked_level(m: MixtureSpec, p: RealLike) -> Fraction:
     return p
 
 
+def _finite_quantile(s_p: ExtendedReal, p: Fraction) -> ExtendedReal:
+    """s_p, unless it is +inf: the quantile at a level below 1 is finite, so
+    a float route that answers +inf could not place it in the float range."""
+    if s_p == math.inf:
+        raise DomainError(f"the quantile at level {p} lies past the float range")
+    return s_p
+
+
 def direct_quantile(m: MixtureSpec, p: RealLike) -> ExtendedReal:
     """inf {x : mixture_cdf(m, x) >= p} by direct inversion of the mixture CDF.
 
     Exact for piecewise pairs: the level is bisected in the memoised
     quantile pieces ``m.pieces``.  For every other pair the leftmost
-    crossing is found by ``numeric_quantile``.
+    crossing is found by ``numeric_quantile``.  An answer of +inf, from it
+    or from a lone component, is a ``DomainError`` naming the float range.
     """
     p = _checked_level(m, p)
     if m.lone is not None:
-        return m.lone.quantile(p)
+        return _finite_quantile(m.lone.quantile(p), p)
     if not m.is_exact:
-        return numeric_quantile(m, p)
+        return _finite_quantile(numeric_quantile(m, p), p)
     pieces, cuts = m.pieces
     return pieces[_find_cut(pieces, cuts, _LEV_HI, p, bisect.bisect_left)].value_at(p)
 

@@ -7,14 +7,18 @@ at p equals
 
 where alpha* is the infimum of the alpha in the feasible range whose split
 satisfies the ordering Qx(alpha) >= Qy(beta(alpha)), and beta* is the
-matching beta.  The ordering predicate is monotone in alpha (Qx rises while
-Qy(beta(alpha)) falls), so for piecewise pairs the infimum is found exactly
-by bisecting the level cuts of both generalized inverses down to one cell
-where both are affine, and for parametric components by float bisection.
+matching beta.  One partner map, (p - w*level)/(1-w), reads the split three
+ways: beta(alpha) at w = q, alpha(beta) at w = 1-q, and the feasible range
+as alpha(1) and alpha(0) clipped to [0, 1].  The ordering predicate is
+monotone in alpha (Qx rises while Qy(beta(alpha)) falls), so for piecewise
+pairs the infimum is found exactly by bisecting the level cuts of both
+generalized inverses down to one cell where both are affine, and for
+parametric components by float bisection.
 
 When the ordering holds nowhere on the feasible range the split clamps to
 the upper end alpha_max; the reported solution is flagged and the max
-formula still returns the correct quantile.
+formula still returns the correct quantile.  A float route's answer of +inf
+is refused: the quantile below level 1 is finite, but past the float range.
 """
 
 from __future__ import annotations
@@ -32,11 +36,14 @@ from .distributions import (
     Piecewise,
     QuantilePiece,
     RealLike,
+    _LEV_HI,
+    _ZERO,
+    _find_cut,
     _quotient,
     as_fraction,
     close,
 )
-from .mixture import MixtureSpec, _checked_level, bisect_float, mixture_cdf
+from .mixture import MixtureSpec, _checked_level, _finite_quantile, bisect_float, mixture_cdf
 
 __all__ = [
     "QuantileSolution",
@@ -74,30 +81,34 @@ def feasible_alpha_range(q: RealLike, p: RealLike) -> tuple[Fraction, Fraction]:
         raise DomainError(f"mixing weight must lie strictly in (0, 1), got {q}")
     if not 0 < p < 1:
         raise DomainError(f"level must lie strictly in (0, 1), got {p}")
-    alpha_min = max(Fraction(0), (p - (1 - q)) / q)
-    alpha_max = min(Fraction(1), p / q)
-    return alpha_min, alpha_max
+    return _alpha_range(q, p)
 
 
-def _beta_of(q, p, alpha):
-    """The partner level (p - q*alpha)/(1-q), clamped to [0, 1].
+def _alpha_range(q: Fraction, p: Fraction) -> tuple[Fraction, Fraction]:
+    """alpha(1) and alpha(0), the alphas whose partners are 1 and 0, clipped to [0, 1]."""
+    return max(_ZERO, _partner(1 - q, p, 1)), min(Fraction(1), _partner(1 - q, p, 0))
 
-    An exact alpha gives an exact level.  A float alpha gives the float
-    level computed from ``float(q)`` and ``float(p)``, the one the numeric
-    route's probe at that alpha judged, so a reported beta is the probed one.
-    The clamp only acts on float alphas, which can land an epsilon outside
-    the feasible range; on ties ``min`` and ``max`` return their first
-    argument, so exact feasible levels pass through unchanged.
+
+def _partner(w, p, level):
+    """The level (p - w*level)/(1-w) that completes ``level`` to p at weight w.
+
+    The split's one map: beta(alpha) at w = q, and alpha(beta) at w = 1-q.
+    An exact level gives an exact partner.  A float level gives the float
+    partner computed from ``float(w)`` and ``float(p)``, the one the numeric
+    route's probe at that level judged, so a reported beta is the probed
+    one; it is clamped to [0, 1], since a float alpha can land an epsilon
+    outside the feasible range.  Exact levels come only from inside it.
     """
-    if isinstance(alpha, float):
-        q, p = float(q), float(p)
-    beta = (p - q * alpha) / (1 - q)
-    return min(max(beta, 0), 1)
+    exact = not isinstance(level, float)
+    if not exact:
+        w, p = float(w), float(p)
+    partner = (p - w * level) / (1 - w)
+    return partner if exact else min(max(partner, 0), 1)
 
 
 def _holds(m: MixtureSpec, q, p, alpha) -> bool:
     """The ordering Qx(alpha) >= Qy(beta(alpha)), in the arithmetic of q and p."""
-    return m.x.quantile(alpha) >= m.y.quantile(_beta_of(q, p, alpha))
+    return m.x.quantile(alpha) >= m.y.quantile(_partner(q, p, alpha))
 
 
 def ordering_predicate(m: MixtureSpec, p: RealLike, alpha: RealLike) -> bool:
@@ -122,12 +133,14 @@ def split_quantile(m: MixtureSpec, p: RealLike) -> QuantileSolution:
     Degenerate weights bypass the split: q = 1 returns the X quantile with
     alpha* = p and q = 0 the Y quantile with beta* = p.  A level that rounds
     to 0 or 1 as a float is rejected unless each component that answers it
-    is piecewise.
+    is piecewise, and so is a float route's answer of +inf: the quantile
+    below level 1 is finite, but past the float range.
     """
     p = _checked_level(m, p)
     if m.lone is not None:
         # Flags from q, not from ``lone``: X and Y may be the same object.
-        return QuantileSolution(m.lone.quantile(p), p, p, m.q == 1, m.q == 0, False)
+        s_p = _finite_quantile(m.lone.quantile(p), p)
+        return QuantileSolution(s_p, p, p, m.q == 1, m.q == 0, False)
 
     alpha, beta, clamped = _solve_split(m, p)
     qx = m.x.quantile(alpha)
@@ -137,7 +150,7 @@ def split_quantile(m: MixtureSpec, p: RealLike) -> QuantileSolution:
     x_attains = close(qx, s_p, m.is_exact, relative=False)
     y_attains = close(qy, s_p, m.is_exact, relative=False)
     if not m.is_exact:
-        s_p = _reach_level(m, p, s_p)
+        s_p = _finite_quantile(_reach_level(m, p, s_p), p)
     return QuantileSolution(s_p, alpha, beta, x_attains, y_attains, clamped)
 
 
@@ -160,16 +173,16 @@ def _reach_level(m: MixtureSpec, p: Fraction, s_p: ExtendedReal) -> ExtendedReal
 def _solve_split(m: MixtureSpec, p: Fraction):
     """Returns (alpha*, beta*, clamped) for 0 < q < 1."""
     q = m.q
-    alpha_min, alpha_max = feasible_alpha_range(q, p)
+    alpha_min, alpha_max = _alpha_range(q, p)
     holds = partial(_holds, m, q, p)
     if holds(alpha_min):
-        return alpha_min, _beta_of(q, p, alpha_min), False
+        return alpha_min, _partner(q, p, alpha_min), False
     if not holds(alpha_max):
         # Ordering holds nowhere on the feasible range: clamp to the top.
-        return alpha_max, _beta_of(q, p, alpha_max), True
+        return alpha_max, _partner(q, p, alpha_max), True
     # From here on the predicate is false at alpha_min and true at alpha_max.
     alpha = (_solve_split_exact if m.is_exact else _solve_split_numeric)(m, p, alpha_min, alpha_max)
-    return alpha, _beta_of(q, p, alpha), False
+    return alpha, _partner(q, p, alpha), False
 
 
 # -- exact path ----------------------------------------------------------------
@@ -182,8 +195,9 @@ def _flip_piece(d: Piecewise, lo: Fraction, hi: Fraction, flipped) -> QuantilePi
     the first one on which ``flipped`` holds; when it holds on none, the
     answer is the piece reaching hi.
     """
-    pieces = d.quantile_pieces()
-    start, stop = d._levels_inside(lo, hi)
+    pieces, cuts = d._pieces, d._lev_his
+    start = _find_cut(pieces, cuts, _LEV_HI, lo, bisect.bisect_right)
+    stop = _find_cut(pieces, cuts, _LEV_HI, hi, bisect.bisect_left)
     return pieces[bisect.bisect_left(pieces, True, start, stop, key=flipped)]
 
 
@@ -196,25 +210,21 @@ def _solve_split_exact(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Fracti
     is piece.x_right, so each probe evaluates only the other side.
     """
     q = m.q
-
-    # alpha = (p - (1-q)c)/q is the alpha whose partner level is c; it falls
-    # as the Y cut c rises, so along rising Y cuts the ordering runs true,
-    # then false.
-    def alpha_of(cut: Fraction) -> Fraction:
-        return (p - (1 - q) * cut) / q
-
+    r = 1 - q
     px = _flip_piece(
         m.x, a_lo, a_hi,
-        lambda piece: piece.x_right >= m.y.quantile(_beta_of(q, p, piece.lev_hi)),
+        lambda piece: piece.x_right >= m.y.quantile(_partner(q, p, piece.lev_hi)),
     )
     # The flip lies in px's level range, and in py's mapped to alpha, so
-    # each clips the bracket to that range.
+    # each clips the bracket to that range.  The alpha partnering a Y cut
+    # falls as the cut rises, so along rising Y cuts the ordering runs true,
+    # then false.
     a_lo, a_hi = max(a_lo, px.lev_lo), min(a_hi, px.lev_hi)
     py = _flip_piece(
-        m.y, _beta_of(q, p, a_hi), _beta_of(q, p, a_lo),
-        lambda piece: m.x.quantile(alpha_of(piece.lev_hi)) < piece.x_right,
+        m.y, _partner(q, p, a_hi), _partner(q, p, a_lo),
+        lambda piece: m.x.quantile(_partner(r, p, piece.lev_hi)) < piece.x_right,
     )
-    a_lo, a_hi = max(a_lo, alpha_of(py.lev_hi)), min(a_hi, alpha_of(py.lev_lo))
+    a_lo, a_hi = max(a_lo, _partner(r, p, py.lev_hi)), min(a_hi, _partner(r, p, py.lev_lo))
     return _refine_cell(q, p, px, py, a_lo, a_hi)
 
 
@@ -231,7 +241,7 @@ def _refine_cell(
     """
 
     def d(alpha: Fraction) -> Fraction:
-        return px.value_at(alpha) - py.value_at(_beta_of(q, p, alpha))
+        return px.value_at(alpha) - py.value_at(_partner(q, p, alpha))
 
     d_lo = d(a_lo)
     if d_lo >= 0:
@@ -254,7 +264,7 @@ def _solve_split_numeric(m: MixtureSpec, p: Fraction, a_lo: Fraction, a_hi: Frac
     holds = partial(_holds, m, float(m.q), float(p))
 
     def objective(alpha) -> ExtendedReal:
-        return max(m.x.quantile(alpha), m.y.quantile(_beta_of(m.q, p, alpha)))
+        return max(m.x.quantile(alpha), m.y.quantile(_partner(m.q, p, alpha)))
 
     lo, hi = bisect_float(holds, float(a_lo), float(a_hi))
     # Every feasible alpha has F_S(max{Qx(alpha), Qy(beta(alpha))}) >= p, so

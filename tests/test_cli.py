@@ -654,6 +654,15 @@ def test_normal_quantile_beyond_the_float_range_exits_3(spec_file, capsys):
         assert "float range" in capsys.readouterr().err
 
 
+def test_infinite_answer_below_level_one_exits_3(spec_file, capsys):
+    # The exponential quantile overflows to +inf at 0.999 without raising.
+    x = {"kind": "piecewise", "atoms": [], "segments": [["0", "1", "1"]]}
+    y = {"kind": "exponential", "rate": 6e-309}
+    for doc in ({"q": "1/2", "X": x, "Y": y}, {"q": "1", "X": y, "Y": x}):
+        assert main(["quantile", "--spec", spec_file(doc), "--p", "0.999"]) == 3
+        assert "float range" in capsys.readouterr().err
+
+
 def test_piecewise_atom_past_the_float_range(spec_file, tmp_path, capsys):
     # The split answers the atom at 10**400 exactly; curve's direct inversion
     # has no float for it and exits 3.

@@ -149,6 +149,27 @@ def test_normal_quantile_beyond_the_float_range_is_a_domain_error():
     assert high.quantile(F(1, 2)) == 1e308 and high.cdf(1e308) == 0.5
 
 
+@pytest.mark.parametrize("x", [Piecewise.uniform(0, 1), Uniform(0, 1)], ids=["mixed", "parametric"])
+def test_an_infinite_answer_below_level_one_is_a_domain_error(x):
+    # The family answers +inf at 999/1000 without raising, and the float
+    # mixture CDF reaches only about 0.83 at the largest float; the true
+    # quantile is finite but past the float range, so both routes refuse it.
+    far = Exponential(6e-309)
+    assert far.quantile(F(999, 1000)) == math.inf
+    for m in (
+        MixtureSpec(F(1, 2), x, far),
+        MixtureSpec(F(1, 2), far, x),
+        MixtureSpec(1, far, x),
+        MixtureSpec(0, x, far),
+    ):
+        for route in (split_quantile, direct_quantile):
+            with pytest.raises(DomainError, match="float range"):
+                route(m, F(999, 1000))
+        if m.lone is None:
+            # Inside the float range the pair answers as before.
+            assert split_quantile(m, F(1, 4)).s_p == direct_quantile(m, F(1, 4)) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # the ordering predicate
 # ---------------------------------------------------------------------------
