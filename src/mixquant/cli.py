@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .classify import InternalContradictionError
 from .distributions import DomainError, _ratio_sum
-from .mixture import MixtureSpec, _mix_levels, direct_quantile
+from .mixture import MixtureSpec, _finite_quantile, _mix_levels, direct_quantile
 from .serialization import (
     SpecParseError,
     extended_to_string,
@@ -168,8 +168,8 @@ def _cmd_curve(args) -> int:
             ",".join(
                 (
                     extended_to_string(p),
-                    extended_to_string(m.x.quantile(p)),
-                    extended_to_string(m.y.quantile(p)),
+                    extended_to_string(_finite_quantile(m.x.quantile(p), p)),
+                    extended_to_string(_finite_quantile(m.y.quantile(p), p)),
                     extended_to_string(direct_quantile(m, p)),
                 )
             )

@@ -663,6 +663,19 @@ def test_infinite_answer_below_level_one_exits_3(spec_file, capsys):
         assert "float range" in capsys.readouterr().err
 
 
+def test_curve_component_quantile_of_inf_below_level_one_exits_3(spec_file, tmp_path, capsys):
+    # At p = 3/4 the exponential quantile overflows to +inf, in the Qy column
+    # and, swapped, in the Qx column; the mixture's own quantile is finite.
+    x = {"kind": "piecewise", "atoms": [], "segments": [["0", "1", "1"]]}
+    y = {"kind": "exponential", "rate": 6e-309}
+    for doc in ({"q": "1/2", "X": x, "Y": y}, {"q": "1/2", "X": y, "Y": x}):
+        out = tmp_path / "curve.csv"
+        argv = ["curve", "--spec", spec_file(doc), "--from", "0", "--to", "1", "--steps", "3"]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "float range" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_piecewise_atom_past_the_float_range(spec_file, tmp_path, capsys):
     # The split answers the atom at 10**400 exactly; curve's direct inversion
     # has no float for it and exits 3.

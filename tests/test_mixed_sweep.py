@@ -7,9 +7,9 @@ overlaps the generator's lattice.  The weight is drawn from {1/4, 1/4, 1/4,
 1/2, 3/4}, the sides come in random order, and the level is the instance's.
 The pairs are rebuilt here, as ``test_parametric_sweep`` rebuilds its own.
 
-Every pair must pass ``cross_check`` without a grid, which holds the split
-against direct inversion too, and both routes' answers on the census are
-pinned bit for bit by a digest.
+Every pair must pass ``cross_check`` with a 10,001-step grid, which holds
+the split against direct inversion and the grid oracle, and both routes'
+answers on the census are pinned bit for bit by a digest.
 """
 
 import random
@@ -19,7 +19,12 @@ import pytest
 
 from mixquant.distributions import Exponential, Normal, Uniform
 from mixquant.mixture import MixtureSpec
-from mixquant.verification import InstanceGenConfig, cross_check, generate_instance
+from mixquant.verification import (
+    GridOracleConfig,
+    InstanceGenConfig,
+    cross_check,
+    generate_instance,
+)
 
 from test_parametric_sweep import answers_digest
 
@@ -28,6 +33,12 @@ COUNT = 1500
 #: falls short of p until 1/4, so the two orientations land on different
 #: ends of the flat stretch and the swap check fails.
 PLATEAU = 1390
+#: A plateau level the grid oracle reaches early: F_S stays below p = 9/10 on
+#: [1, 2), by 4.9e-11 at 1, which the grid's level slack ``FLOAT_TOL`` admits,
+#: so the grid answers 1.00036 while s_p lies just above 2.  The census checks
+#: this pair without a grid.
+GRID_PLATEAU = 884
+GRID_STEPS = 10_001
 
 
 def mixed_cases():
@@ -52,18 +63,20 @@ CASES = mixed_cases()
 
 
 @pytest.mark.parametrize(
-    "indices, split_digest, direct_digest",
+    "indices, gridless, split_digest, direct_digest",
     [
         pytest.param(
             [i for i in range(COUNT) if i != PLATEAU],
+            {GRID_PLATEAU},
             "8b408bafa590220953513ef8f264cde2c5b1b0db8fc683b6ea429300e2b5df62",
             "fc0de44f94ae3b8cf6422c7895e77959a9c17e593bb7f2f6a6f8acbd3ce950f3",
             id="census",
         ),
-        # No digests: the strict xfail must fail only through ``failures``,
-        # so a fix, which moves this orientation's answer, shows as XPASS.
+        # No digests: the strict xfails must fail only through ``failures``,
+        # so a fix, which moves the answer checked, shows as XPASS.
         pytest.param(
             [PLATEAU],
+            set(),
             None,
             None,
             id="plateau",
@@ -72,14 +85,29 @@ CASES = mixed_cases()
                 reason="a plateau level that float F_S reaches early; ROADMAP item 10",
             ),
         ),
+        pytest.param(
+            [GRID_PLATEAU],
+            set(),
+            None,
+            None,
+            id="grid-plateau",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="a plateau level within the grid's slack FLOAT_TOL of p; ROADMAP item 10",
+            ),
+        ),
     ],
 )
 def test_mixed_pairs_pass_cross_check_and_match_direct_inversion(
-    indices, split_digest, direct_digest
+    indices, gridless, split_digest, direct_digest
 ):
     # The answers are ``answers_digest`` rows: the split's s_p, alpha* and
     # beta*, and the direct answer, both read from the report.
-    reports = [cross_check(*CASES[i]) for i in indices]
+    reports = []
+    for i in indices:
+        m, p = CASES[i]
+        grid = None if i in gridless else GridOracleConfig.from_mixture(m, GRID_STEPS)
+        reports.append(cross_check(m, p, grid))
     if split_digest is not None:
         split_rows = [(r.s_p, r.solution.alpha_star, r.solution.beta_star) for r in reports]
         assert answers_digest(split_rows) == split_digest

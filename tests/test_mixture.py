@@ -105,19 +105,21 @@ def test_import_loads_no_numpy_scipy_or_process_pool():
 
 
 def test_grid_oracle_on_normal_and_lognormal_pairs_loads_no_scipy():
+    # Nor numpy: the grid oracle evaluates scalar CDFs at the points it probes.
     code = """
 from fractions import Fraction
-from mixquant import LogNormal, MixtureSpec, Normal, Uniform
+from mixquant import LogNormal, MixtureSpec, Normal, Piecewise, Uniform
 from mixquant.verification import GridOracleConfig, grid_oracle_quantile
 for m in (
     MixtureSpec(Fraction(1, 3), Normal(0.0, 1.0), Normal(2.0, 0.5)),
     MixtureSpec(Fraction(1, 2), LogNormal(0.0, 1.0), Uniform(0.5, 2.0)),
+    MixtureSpec(Fraction(1, 4), Piecewise.uniform(0, 1), Piecewise([(2, 1)])),
 ):
     print(grid_oracle_quantile(m, Fraction(1, 2), GridOracleConfig.from_mixture(m, 10_001)))
 """
     printed, heavy = _in_fresh_interpreter(code)
-    assert len(printed) == 2 and all(math.isfinite(x) for x in printed)
-    assert heavy == ["numpy"]
+    assert len(printed) == 3 and all(math.isfinite(x) for x in printed)
+    assert heavy == []
 
 
 def test_exact_cli_commands_load_no_numpy(tmp_path):

@@ -61,6 +61,19 @@ def test_grid_oracle_on_identical_point_masses():
     assert abs(val - 3.0) <= cfg.step
 
 
+def test_grid_oracle_reaches_a_level_exactly_at_its_slack():
+    # F_S is exactly 3/4 - FLOAT_TOL in float on the grid point 0, so p = 3/4
+    # is reached there, and the next float up only at 1.
+    slack = 0.75 - FLOAT_TOL
+    x = Piecewise([(0, F(slack)), (1, 1 - F(slack))])
+    m = MixtureSpec(F(1, 2), x, x)
+    cfg = GridOracleConfig(-1.0, 1.0, 3)
+    above = math.nextafter(0.75, 1.0)
+    assert above - FLOAT_TOL > slack
+    assert grid_oracle_quantile(m, F(3, 4), cfg) == 0.0
+    assert grid_oracle_quantile(m, above, cfg) == 1.0
+
+
 def test_grid_oracle_raises_when_level_is_out_of_reach():
     m = MixtureSpec(F(1, 2), Piecewise.point_mass(0), Piecewise.point_mass(1))
     with pytest.raises(ArithmeticError):
@@ -171,13 +184,36 @@ def _dense_cdf_grid(d, xs):
     return out
 
 
+def _feature_indices(m, xs):
+    """Both grid ends, every 37th point, and the points on and beside each
+    atom and segment end of either piecewise component: where a feature's
+    share of the CDF changes form."""
+    last = len(xs) - 1
+    wanted = {0, last, *range(0, last, 37)}
+    for comp in (m.x, m.y):
+        ends = [loc for loc, _ in comp.atoms]
+        ends += [end for left, right, _ in comp.segments for end in (left, right)]
+        for end in ends:
+            k = int(np.searchsorted(xs, float(end)))
+            wanted |= {k - 1, k, k + 1}
+    return [i for i in sorted(wanted) if 0 <= i <= last]
+
+
+def _assert_grid_cdf_is_dense(m, xs, dense, indices):
+    # Each component's scalar grid CDF equals the dense reference bit for bit
+    # at every point of ``indices``.
+    for comp, expected in zip((m.x, m.y), dense):
+        cdf = verification._grid_cdf(comp)
+        values = np.array([cdf(x) for x in xs[indices].tolist()])
+        assert values.tobytes() == expected[indices].tobytes()
+
+
 def _assert_sliced_grid_is_dense(m, cfg, levels):
-    # Bitwise-equal component arrays, and the same grid answer (or the same
-    # refusal) at every level.
+    # Component CDFs bitwise equal to the dense ones where features begin and
+    # end, and the same grid answer (or the same refusal) at every level.
     xs = np.linspace(cfg.lo, cfg.hi, cfg.steps)
     dense = [_dense_cdf_grid(comp, xs) for comp in (m.x, m.y)]
-    for comp, expected in zip((m.x, m.y), dense):
-        assert verification._cdf_grid(comp, xs).tobytes() == expected.tobytes()
+    _assert_grid_cdf_is_dense(m, xs, dense, _feature_indices(m, xs))
     q = float(m.q)
     fs = q * dense[0] + (1.0 - q) * dense[1]
     for p in levels:
@@ -241,23 +277,27 @@ def test_sliced_grid_cdf_equals_the_dense_scan_on_grid_points_and_outside_the_gr
 
 
 def test_grid_points_are_the_linspace_points():
-    rng = np.random.default_rng(20)
+    # The scalar point map at both ends, beside them and at sampled indices.
+    rng, picks = np.random.default_rng(20), np.random.default_rng(21)
     for _ in range(500):
         scale = 10.0 ** rng.uniform(-8, 10)
         lo = float(rng.uniform(-2, 2)) * scale
         hi = lo + float(rng.uniform(0.01, 3)) * scale
         cfg = GridOracleConfig(lo, hi, int(rng.integers(2, 12_346)))
         dense = np.linspace(cfg.lo, cfg.hi, cfg.steps)
-        points = verification._grid_points(cfg, np.arange(cfg.steps))
-        assert points.tobytes() == dense.tobytes(), cfg
+        ends = {0, 1, cfg.steps - 2, cfg.steps - 1}
+        idx = sorted(ends | set(picks.integers(cfg.steps, size=40).tolist()))
+        points = np.array([cfg.point(i) for i in idx])
+        assert points.tobytes() == dense[idx].tobytes(), cfg
 
 
 _STD_NORMAL = statistics.NormalDist()
 
 
 def _dense_family_cdf(d, xs):
-    """A component's CDF on every point of ``xs``, normal ones in the erf form
-    one element at a time."""
+    """A component's CDF on every point of ``xs``: normal ones in the erf
+    form, exponential and lognormal ones through ``math.expm1`` and
+    ``math.log`` (numpy's can differ by an ulp), one element at a time."""
     if isinstance(d, Piecewise):
         return _dense_cdf_grid(d, xs)
     if isinstance(d, Uniform):
@@ -265,21 +305,24 @@ def _dense_family_cdf(d, xs):
     if isinstance(d, Normal):
         return np.array([_STD_NORMAL.cdf(z) for z in ((xs - d.mu) / d.sigma).tolist()])
     if isinstance(d, Exponential):
-        return np.where(xs > 0.0, -np.expm1(-d.rate * np.maximum(xs, 0.0)), 0.0)
+        return np.array([-math.expm1(-d.rate * x) if x > 0.0 else 0.0 for x in xs.tolist()])
     assert isinstance(d, LogNormal)
-    logs = np.log(np.where(xs > 0.0, xs, 1.0))
-    cdf = np.array([_STD_NORMAL.cdf(z) for z in ((logs - d.mu) / d.sigma).tolist()])
-    return np.where(xs > 0.0, cdf, 0.0)
+    return np.array(
+        [
+            _STD_NORMAL.cdf((math.log(x) - d.mu) / d.sigma) if x > 0.0 else 0.0
+            for x in xs.tolist()
+        ]
+    )
 
 
-def _assert_two_passes_are_the_full_scan(m, cfg, levels):
-    # Every component array equals the dense reference bit for bit, and at
-    # each level the grid oracle returns the full scan's first reaching
-    # point, or refuses as the scan does.  Returns the index each level hit.
+def _assert_bisection_is_the_full_scan(m, cfg, levels):
+    # Every component's grid CDF equals the dense reference bit for bit at
+    # every grid point, and at each level the grid oracle returns the full
+    # scan's first reaching point, or refuses as the scan does.  Returns the
+    # index each level hit.
     xs = np.linspace(cfg.lo, cfg.hi, cfg.steps)
     dense = [_dense_family_cdf(comp, xs) for comp in (m.x, m.y)]
-    for comp, expected in zip((m.x, m.y), dense):
-        assert verification._cdf_grid(comp, xs).tobytes() == expected.tobytes()
+    _assert_grid_cdf_is_dense(m, xs, dense, list(range(cfg.steps)))
     q = float(m.q)
     fs = q * dense[0] + (1.0 - q) * dense[1]
     found = []
@@ -314,12 +357,13 @@ _FAMILY_PAIRS = [
 
 
 def _target_indices(steps):
-    """Grid indices where the first reaching point is put: both ends, on a
-    coarse point, just after one, and in the last block of the coarse pass."""
-    stride, last = math.isqrt(steps), steps - 1
-    final = stride * ((last - 1) // stride)  # the last coarse point before ``last``
+    """Grid indices where the first reaching point is put: both ends and
+    beside them, on and beside the bisection's first probe, and a spread of
+    points between."""
+    stride, last, half = math.isqrt(steps), steps - 1, steps // 2
+    final = stride * ((last - 1) // stride)
     middle = stride * (last // stride // 2)
-    wanted = {0, stride, stride + 1, middle, middle + 1}
+    wanted = {0, 1, stride, stride + 1, middle, middle + 1, half - 1, half, half + 1}
     wanted |= {final + 1, (final + last) // 2, last - 1, last}
     return sorted(i for i in wanted if 0 <= i <= last)
 
@@ -329,7 +373,7 @@ def _target_indices(steps):
 def test_two_pass_grid_scan_equals_the_full_scan(x, y, steps):
     m = MixtureSpec(F(2, 5), _FAMILIES[x], _FAMILIES[y])
     cfg = GridOracleConfig(0.05, 3.5, steps)
-    fs, _ = _assert_two_passes_are_the_full_scan(m, cfg, [F(k, 97) for k in range(1, 97)])
+    fs, _ = _assert_bisection_is_the_full_scan(m, cfg, [F(k, 97) for k in range(1, 97)])
     # Levels halfway between neighbouring grid CDF values put the first
     # reaching point on each target index; index 0 takes a level at or below
     # the slack, and a level above the last value is reached nowhere.
@@ -337,13 +381,13 @@ def test_two_pass_grid_scan_equals_the_full_scan(x, y, steps):
     levels = [
         5e-10 if i == 0 else 0.5 * (fs[i - 1] + fs[i]) + FLOAT_TOL for i in targets
     ] + [0.5 * (fs[-1] + 1.0)]
-    _, found = _assert_two_passes_are_the_full_scan(m, cfg, levels)
+    _, found = _assert_bisection_is_the_full_scan(m, cfg, levels)
     assert found == targets + [None]
 
 
 def test_two_pass_grid_scan_equals_the_full_scan_on_a_piecewise_step_pair():
     # Plateaus make many grid points share a CDF value: the first reaching
-    # point is the plateau's left end, in whichever block it falls.
+    # point is the plateau's left end, wherever the bisection probes it.
     m = MixtureSpec(
         F(1, 3),
         Piecewise([(F(1, 3), F(1, 4)), (2, F(1, 4))], [(F(1, 2), 1, F(1, 2))]),
@@ -351,7 +395,42 @@ def test_two_pass_grid_scan_equals_the_full_scan_on_a_piecewise_step_pair():
     )
     levels = [F(k, 97) for k in range(1, 97)]
     for steps in (2, 3, 10, 101, 10_001, 12_345):
-        _assert_two_passes_are_the_full_scan(m, GridOracleConfig(0.0, 4.0, steps), levels)
+        _assert_bisection_is_the_full_scan(m, GridOracleConfig(0.0, 4.0, steps), levels)
+
+
+@pytest.mark.parametrize("steps", [2, 3, 10, 101, 10_001, 12_345])
+def test_grid_oracle_evaluates_each_cdf_at_most_bit_length_times(monkeypatch, steps):
+    counts = []
+    grid_cdf = VERIFICATION._grid_cdf
+
+    def counted(d):
+        cdf, count = grid_cdf(d), [0]
+        counts.append(count)
+
+        def probe(x):
+            count[0] += 1
+            return cdf(x)
+
+        return probe
+
+    monkeypatch.setattr(VERIFICATION, "_grid_cdf", counted)
+    pairs = (
+        MixtureSpec(
+            F(1, 3), Piecewise([(F(1, 3), F(1, 2))], [(F(1, 2), 1, F(1, 2))]), Normal(3.0, 0.2)
+        ),
+        MixtureSpec(F(3, 5), Exponential(0.7), LogNormal(0.2, 0.8)),
+    )
+    # Levels reached at the first point, inside, and nowhere on the grid.
+    levels = [5e-10, *(F(k, 13) for k in range(1, 13)), 1 - 1e-12]
+    for m in pairs:
+        cfg = GridOracleConfig(0.0, 4.0, steps)
+        for p in levels:
+            try:
+                grid_oracle_quantile(m, p, cfg)
+            except ArithmeticError:
+                pass
+            x_count, y_count = counts[-2:]
+            assert 1 <= x_count[0] == y_count[0] <= steps.bit_length(), (m, p)
 
 
 # ---------------------------------------------------------------------------
