@@ -42,7 +42,7 @@ from .distributions import (
 )
 from .mixture import (
     MixtureSpec,
-    _draws,
+    _substreams,
     _mix_levels,
     direct_quantile,
     mixture_cdf,
@@ -192,7 +192,16 @@ def grid_oracle_quantile(m: MixtureSpec, p, cfg: GridOracleConfig) -> float:
 
 
 def monte_carlo_quantile(m: MixtureSpec, p, n: int, seed: int) -> float:
-    """Order statistic of rank ceil(n*p) among n seeded draws of the mixture."""
+    """Order statistic of rank ceil(n*p) among n seeded draws of the mixture.
+
+    Of n draws of S, the number taken from X is Binomial(n, q), so the
+    indicator substream gives that count as one binomial draw in place of n
+    indicators (numpy's BTPE sampler where n*min(q, 1 - q) > 30, inversion
+    below that).  The X and Y draws come from the same substreams as
+    ``sample``'s (``mixture._substreams``).  An order statistic ignores draw
+    order, so the draws are neither scattered nor shuffled, and the law of
+    the result is that of ``sample``'s order statistic.
+    """
     p = as_fraction(p)
     if not 0 < p < 1:
         raise DomainError(f"Monte Carlo oracle needs 0 < p < 1, got {p}")
@@ -201,12 +210,12 @@ def monte_carlo_quantile(m: MixtureSpec, p, n: int, seed: int) -> float:
     import numpy as np
 
     rank = math.ceil(n * p)
-    # The order statistic ignores draw order, so the draws stay unscattered,
-    # and their concatenation is selected in place, with no second copy.
-    _, x_draws, y_draws = _draws(m, n, seed)
-    draws = np.concatenate((x_draws, y_draws))
-    draws.partition(rank - 1)
-    return float(draws[rank - 1])
+    g_ind, draws = _substreams(m, n, seed)
+    n_x = int(g_ind.binomial(n, float(m.q)))
+    # The concatenation is selected in place, with no second copy.
+    values = np.concatenate(draws(n_x))
+    values.partition(rank - 1)
+    return float(values[rank - 1])
 
 
 # -- randomized instances --------------------------------------------------------

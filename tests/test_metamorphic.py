@@ -7,6 +7,11 @@ is exact.  On float pairs a power of two c scales every intermediate of the
 Uniform, Normal and Exponential formulas exactly, so both float routes'
 answers scale bitwise.  Neither check reads the solver's or direct
 inversion's code: each compares one route with itself.
+
+Reflecting both components, x -> -x, turns the quantile at 1 - p into minus
+the upper quantile Q+_S(p) = inf {x : F_S(x) > p}, which differs from the
+quantile exactly where F_S is flat at level p.  That checks the case
+table's "flat to the left" convention from the other side.
 """
 
 from fractions import Fraction as F
@@ -72,6 +77,44 @@ def test_exact_answers_move_with_affine_maps_on_a_wide_pair():
     m = _wide_pair()
     for mm in (m, m.swapped()):
         _assert_moves_with_the_map(mm, P_GRID)
+
+
+def _reflected(d: Piecewise) -> Piecewise:
+    return Piecewise(
+        [(-x, mass) for x, mass in d.atoms],
+        [(-right, -left, rise) for left, right, rise in d.segments],
+    )
+
+
+def _upper_quantile(m: MixtureSpec, p: F) -> F:
+    """Q+_S(p): the first quantile piece that climbs past p, read at p."""
+    pieces, _ = m.pieces
+    return next(piece for piece in pieces if piece.lev_hi > p).value_at(p)
+
+
+def _assert_reflects(m: MixtureSpec, levels) -> int:
+    """Checks both routes at every level; returns the number of levels where
+    the upper quantile is not the quantile."""
+    reflected = MixtureSpec(m.q, _reflected(m.x), _reflected(m.y))
+    plateaus = 0
+    for p in levels:
+        upper = _upper_quantile(m, p)
+        assert split_quantile(reflected, 1 - p).s_p == -upper, (m, p)
+        assert direct_quantile(reflected, 1 - p) == -upper, (m, p)
+        plateaus += upper != direct_quantile(m, p)
+    return plateaus
+
+
+def test_reflection_turns_the_quantile_into_the_upper_quantile():
+    cfg = InstanceGenConfig(seed=13)
+    plateaus = 0
+    for index in range(150):
+        m, level = generate_instance(cfg, index)
+        for mm in (m, m.swapped()):
+            plateaus += _assert_reflects(mm, (*P_GRID, level))
+    # The generator aims levels at plateau edges, where the check bites
+    # (226 of the 6,000 checks).
+    assert plateaus >= 150
 
 
 def _scaled(d, c: float):
