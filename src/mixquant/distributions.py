@@ -118,13 +118,24 @@ class QuantilePiece(NamedTuple):
         lev_lo, lev_hi, x_left, x_right = self
         if x_left is x_right:
             return x_left
-        pn, pd = p.as_integer_ratio()
-        an, ad = lev_lo.as_integer_ratio()
-        bn, bd = lev_hi.as_integer_ratio()
-        ln, ld = x_left.as_integer_ratio()
-        rn, rd = x_right.as_integer_ratio()
-        num = (pn * ad - an * pd) * (rn * ld - ln * rd) * bd
-        return _ratio_sum(ln, ld, num, pd * rd * ld * (bn * ad - an * bd))[0]
+        return _affine_at(p, lev_lo, lev_hi, x_left, x_right)
+
+
+def _affine_at(
+    t: Fraction, t_lo: Fraction, t_hi: Fraction, v_lo: Fraction, v_hi: Fraction
+) -> Fraction:
+    """v_lo + (t - t_lo)*(v_hi - v_lo)/(t_hi - t_lo) for t_lo < t_hi, summed on integers.
+
+    The one affine map of a segment piece, either way: ``value_at`` maps a
+    level to a position, and ``Piecewise._level_at`` a position to a level.
+    """
+    tn, td = t.as_integer_ratio()
+    an, ad = t_lo.as_integer_ratio()
+    bn, bd = t_hi.as_integer_ratio()
+    ln, ld = v_lo.as_integer_ratio()
+    rn, rd = v_hi.as_integer_ratio()
+    num = (tn * ad - an * td) * (rn * ld - ln * rd) * bd
+    return _ratio_sum(ln, ld, num, td * rd * ld * (bn * ad - an * bd))[0]
 
 
 _ZERO = Fraction(0)
@@ -169,31 +180,29 @@ def _sweep(events: list):
     """The quantile pieces of a law given as events: atoms plus densities.
 
     ``events`` holds events ``(float x, x, xn, xd, side, value)``, with
-    ``(xn, xd)`` the reduced integer pair of x, in two runs, each in exact
-    order of x; every value is an unreduced integer pair ``(num, den)`` or
-    None.  An event of side None adds the mass ``value``
-    at x.  One of side 0 or 1 sets that side's density right of x to
-    ``value``, None where the side has none; a position's density is the
-    sum of the sides'.  One stable sort, in place, orders the events by the
-    float of x, reading the exact x only where floats tie; it merges the
-    two runs.  Within a run a stretch ending at x precedes one starting
-    there, so the densities are those right of x once every event at x is
-    read.  Only a move to a new x, read from the floats and, where they
-    tie, from the exact x, closes the atom pending at the old one and then
-    the stretch from it.  So at a shared x the stretch ending there comes
-    first, then the atom, then the stretch starting there, and coincident
-    atoms become one piece.
+    ``(xn, xd)`` the reduced integer pair of x, in runs, each in exact order
+    of x, as ``_sweep_events`` emits them; every value is an unreduced
+    integer pair ``(num, den)`` or None.  An event of side None adds the
+    mass ``value`` at x.  One of side 0 or 1 sets that side's density right
+    of x to ``value``, None where the side has none; a side has at most one
+    such event at an x, and a position's density is the sum of the sides'.
+    One stable sort, in place, orders the events by the float of x, reading
+    the exact x only where floats tie; it merges the runs.  Only a move to a
+    new x, read from the floats and, where they tie, from the exact x,
+    closes the atom pending at the old one and then the stretch from it.  So
+    at a shared x the stretch ending there comes first, then the atom, then
+    the stretch starting there, and coincident atoms become one piece.
 
-    Returns four columns in level order: the ``QuantilePiece``s, each one's
-    density pair (None for an atom), and float copies of ``x_left`` and
-    ``lev_hi``.  An atom's piece holds its point as one object twice;
-    pieces that meet share the object of their common x.  Densities and masses are summed as pairs (``_pair_sum``);
-    the running level is a reduced pair, and ``_ratio_sum`` makes each
-    level from it.
+    Returns three columns in level order: the ``QuantilePiece``s and float
+    copies of their ``x_left`` and ``lev_hi``.  An atom's piece holds its
+    point as one object twice; pieces that meet share the object of their
+    common x.  Densities and masses are summed as pairs (``_pair_sum``); the
+    running level is a reduced pair, and ``_ratio_sum`` makes each level
+    from it.
     """
     events.sort(key=_FLOAT_THEN_EXACT)
     events.append(_END)
-    pieces, densities, x_lefts, lev_his = [], [], array("d"), array("d")
+    pieces, x_lefts, lev_his = [], array("d"), array("d")
     # What ``QuantilePiece(...)`` calls, without its Python frame per piece.
     new_piece = tuple.__new__
     cum, cn, cd = _ZERO, 0, 1
@@ -203,7 +212,6 @@ def _sweep(events: list):
             if mass is not None:
                 top, cn, cd = _ratio_sum(cn, cd, *mass)
                 pieces.append(new_piece(QuantilePiece, (cum, top, at, at)))
-                densities.append(None)
                 x_lefts.append(f_at)
                 lev_his.append(_quotient(cn, cd))
                 cum, mass = top, None
@@ -217,7 +225,6 @@ def _sweep(events: list):
                 dn, dd = density
                 top, cn, cd = _ratio_sum(cn, cd, dn * (xn * ad - an * xd), dd * xd * ad)
                 pieces.append(new_piece(QuantilePiece, (cum, top, at, x)))
-                densities.append(density)
                 x_lefts.append(f_at)
                 lev_his.append(_quotient(cn, cd))
                 cum = top
@@ -228,7 +235,78 @@ def _sweep(events: list):
             y_density = value
         else:
             x_density = value
-    return pieces, densities, x_lefts, lev_his
+    return pieces, x_lefts, lev_his
+
+
+def _read_rows(atoms: Iterable, segments: Iterable) -> tuple[list, list]:
+    """Rows of atoms and segments that lead with the float of each position.
+
+    An atom row is ``(float loc, loc, mass, ln, ld)`` and a segment row
+    ``(float left, left, float right, right, rise, ln, ld, rn, rd)``, with
+    ``(ln, ld)`` and ``(rn, rd)`` the integer pairs of the positions, each
+    read once.  Sorting the rows and every order check on them decide in
+    float and compare ``Fraction``s only where the floats tie (rounding is
+    monotone).  The rows keep the input's order.
+    """
+    atom_rows = []
+    for loc, mass in atoms:
+        loc = as_fraction(loc)
+        ln, ld = loc.numerator, loc.denominator
+        atom_rows.append((_quotient(ln, ld), loc, as_fraction(mass), ln, ld))
+    seg_rows = []
+    right = f_right = None
+    for left, end, rise in segments:
+        # The parser hands a shared end over as one object, and a build
+        # stores it so; the previous row holds its float and pair.
+        left = as_fraction(left)
+        if left is not right:
+            ln, ld = left.numerator, left.denominator
+            f_left = _quotient(ln, ld)
+        else:
+            f_left, ln, ld = f_right, rn, rd
+        right = as_fraction(end)
+        rn, rd = right.numerator, right.denominator
+        f_right = _quotient(rn, rd)
+        seg_rows.append((f_left, left, f_right, right, as_fraction(rise), ln, ld, rn, rd))
+    return atom_rows, seg_rows
+
+
+def _sweep_events(atom_rows: list, seg_rows: list, side: int, wn: int, wd: int) -> list:
+    """The ``_sweep`` events of one side's sorted rows, at weight ``wn/wd``.
+
+    The one translation of atoms and segments into events, for the build of
+    a ``Piecewise`` (side 0, weight 1) and for a mixture's walk
+    (``mixture._walk_pieces``: side 0 weighted q, side 1 weighted 1-q).  It
+    checks the rows on the way.  A segment run, then an atom run: a segment
+    sets its side's density ``weight * rise/(right - left)`` at its left end
+    and clears it at its right end, where the set of a segment starting
+    there replaces the clear; an atom adds ``weight`` times its mass.
+    """
+    events = []
+    right = f_right = None
+    for f_left, left, f_end, end, rise, ln, ld, rn, rd in seg_rows:
+        if not (f_left < f_end or f_left == f_end and left < end):
+            raise ValueError(f"segment [{left}, {end}] must have left < right")
+        hn, hd = rise.numerator, rise.denominator
+        if hn <= 0:
+            raise ValueError(f"segment rise over [{left}, {end}] must be positive")
+        if right is left or f_right == f_left and right == left:
+            events.pop()
+        elif right is not None and (f_right > f_left or f_right == f_left and right > left):
+            raise ValueError("segment interiors must be pairwise disjoint")
+        f_right, right = f_end, end
+        density = (wn * hn * rd * ld, wd * hd * (rn * ld - ln * rd))
+        events += ((f_left, left, ln, ld, side, density), (f_end, end, rn, rd, side, None))
+    loc = f_loc = None
+    for f_at, at, mass, ln, ld in atom_rows:
+        mn, md = mass.numerator, mass.denominator
+        if mn <= 0:
+            raise ValueError(f"atom mass at {at} must be positive, got {mass}")
+        if f_at == f_loc and at == loc:
+            raise ValueError(f"duplicate atom location {at}")
+        f_loc, loc = f_at, at
+        events.append((f_at, at, ln, ld, None, (wn * mn, wd * md)))
+    return events
 
 
 def _pair_sum(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -299,86 +377,33 @@ class Piecewise(Distribution):
 
     The affine pieces of the generalized inverse (``quantile_pieces()``) are
     the one stored layout: the CDF, its left limits, left flatness, atoms and
-    the support are all read from them.  The checked atoms and segments
-    become events of one sweep (``_sweep``), the one that also builds a
-    mixture's pieces from its components' (``mixture._walk_pieces``).  Float
-    copies of the two sorted cut columns, ``lev_hi`` and ``x_left``, let
-    every bisection decide in float and compare ``Fraction`` keys only where
-    the floats tie (``_find_cut``).  The build sorts and checks the same way,
-    on the floats of the positions, which then fill ``_x_lefts``.
-
-    ``_densities`` keeps each piece's density as the sweep summed it, an
-    unreduced integer pair (None for an atom), and is the one stored rate:
-    the CDF inside a segment and the mixture walk read it, and the inverse
-    (``QuantilePiece.value_at``) forms its map from the piece's ends.
+    the support are all read from them.  The atoms and segments are read into
+    rows (``_read_rows``), sorted, checked and turned into events
+    (``_sweep_events``) and swept (``_sweep``), by the same code that builds a
+    mixture's pieces from its components' stored ``atoms`` and ``segments``
+    (``mixture._walk_pieces``).  Float copies of the two sorted cut columns,
+    ``lev_hi`` and ``x_left``, let every bisection decide in float and compare
+    ``Fraction`` keys only where the floats tie (``_find_cut``).  The build
+    sorts and checks the same way, on the floats of the positions, which then
+    fill ``_x_lefts``.  No rate is stored: the CDF inside a segment and the
+    inverse both form their affine map from the piece's ends (``_affine_at``).
     """
 
     is_exact = True
 
-    __slots__ = ("atoms", "segments", "_pieces", "_densities", "_lev_his", "_x_lefts")
+    __slots__ = ("atoms", "segments", "_pieces", "_lev_his", "_x_lefts")
 
     def __init__(
         self,
         atoms: Iterable[tuple[RealLike, RealLike]] = (),
         segments: Iterable[tuple[RealLike, RealLike, RealLike]] = (),
     ) -> None:
-        # Rows lead with the float of each position they are ordered by, so
-        # sorting and every order check below decide in float and compare
-        # ``Fraction``s only where the floats tie (rounding is monotone).
-        # They also carry the integer pair of each position, read once.
-        atom_rows = []
-        for loc, mass in atoms:
-            loc = as_fraction(loc)
-            ln, ld = loc.numerator, loc.denominator
-            atom_rows.append((_quotient(ln, ld), loc, as_fraction(mass), ln, ld))
+        atom_rows, seg_rows = _read_rows(atoms, segments)
         atom_rows.sort(key=_FLOAT_THEN_EXACT)
-        seg_rows = []
-        right = f_right = None
-        for left, end, rise in segments:
-            # The parser hands a shared end over as one object, whose float
-            # and pair the previous row holds.
-            left = as_fraction(left)
-            if left is not right:
-                ln, ld = left.numerator, left.denominator
-                f_left = _quotient(ln, ld)
-            else:
-                f_left, ln, ld = f_right, rn, rd
-            right = as_fraction(end)
-            rn, rd = right.numerator, right.denominator
-            f_right = _quotient(rn, rd)
-            seg_rows.append((f_left, left, f_right, right, as_fraction(rise), ln, ld, rn, rd))
         seg_rows.sort(key=_FLOAT_THEN_EXACT)
         self.atoms = tuple([(row[1], row[2]) for row in atom_rows])
         self.segments = tuple([(row[1], row[3], row[4]) for row in seg_rows])
-        # The checked rows become ``_sweep``'s events, a segment run and an
-        # atom run.  A segment sets the density rise/(right - left) at its
-        # left end and clears it at its right end, where the set of a
-        # segment starting there replaces the clear; an atom adds its mass.
-        events = []
-        right = f_right = None
-        for f_left, left, f_end, end, rise, ln, ld, rn, rd in seg_rows:
-            if not (f_left < f_end or f_left == f_end and left < end):
-                raise ValueError(f"segment [{left}, {end}] must have left < right")
-            hn, hd = rise.numerator, rise.denominator
-            if hn <= 0:
-                raise ValueError(f"segment rise over [{left}, {end}] must be positive")
-            if right is left or f_right == f_left and right == left:
-                events.pop()
-            elif right is not None and (f_right > f_left or f_right == f_left and right > left):
-                raise ValueError("segment interiors must be pairwise disjoint")
-            f_right, right = f_end, end
-            density = (hn * rd * ld, hd * (rn * ld - ln * rd))
-            events += ((f_left, left, ln, ld, 0, density), (f_end, end, rn, rd, 0, None))
-        loc = f_loc = None
-        for f_at, at, mass, ln, ld in atom_rows:
-            mn, md = mass.numerator, mass.denominator
-            if mn <= 0:
-                raise ValueError(f"atom mass at {at} must be positive, got {mass}")
-            if f_at == f_loc and at == loc:
-                raise ValueError(f"duplicate atom location {at}")
-            f_loc, loc = f_at, at
-            events.append((f_at, at, ln, ld, None, (mn, md)))
-        pieces, self._densities, self._x_lefts, self._lev_his = _sweep(events)
+        pieces, self._x_lefts, self._lev_his = _sweep(_sweep_events(atom_rows, seg_rows, 0, 1, 1))
         total = pieces[-1].lev_hi if pieces else _ZERO
         if total != 1:
             raise ValueError(f"atom masses plus segment rises must equal 1, got {total}")
@@ -418,12 +443,8 @@ class Piecewise(Distribution):
         lev_lo, lev_hi, x_left, x_right = self._pieces[j]
         if x >= x_right:
             return lev_hi
-        # Inside a segment: lev_lo + density * (x - x_left), on integers.
-        dn, dd = self._densities[j]
-        xn, xd, ln, ld = x.numerator, x.denominator, x_left.numerator, x_left.denominator
-        return _ratio_sum(
-            lev_lo.numerator, lev_lo.denominator, dn * (xn * ld - ln * xd), dd * xd * ld
-        )[0]
+        # Inside a segment: the piece's affine map, from positions to levels.
+        return _affine_at(x, x_left, x_right, lev_lo, lev_hi)
 
     def cdf(self, x: RealLike) -> Fraction:
         # bisect_right keeps the pieces starting at x: F(x) counts an atom there.
@@ -512,11 +533,14 @@ class Piecewise(Distribution):
 def _float_arg(x: RealLike) -> float:
     """x as the float a parametric family computes on.
 
-    A float passes as it is, +-inf included.  An exact x past the float
+    A float passes as it is, +-inf included, and NaN, which no CDF places,
+    raises ``DomainError`` as ``Piecewise`` does.  An exact x past the float
     range has no float and raises ``DomainError``: saturating to +-inf
     would misplace it, since a law may still be far from 0 or 1 there.
     """
     if isinstance(x, float):
+        if math.isnan(x):
+            raise DomainError("parametric argument must not be NaN")
         return x
     x = as_fraction(x)
     f = _quotient(*x.as_integer_ratio())
@@ -549,7 +573,7 @@ class Parametric(Distribution):
 
     def quantile(self, p: RealLike) -> float:
         p = float(p)
-        if p < 0.0 or p > 1.0:
+        if not 0.0 <= p <= 1.0:
             raise DomainError(f"quantile level must lie in [0, 1], got {p}")
         if p == 0.0:
             return NEG_INF

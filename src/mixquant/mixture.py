@@ -29,7 +29,9 @@ from .distributions import (
     _find_cut,
     _quotient,
     _ratio_sum,
+    _read_rows,
     _sweep,
+    _sweep_events,
     as_fraction,
 )
 
@@ -137,46 +139,21 @@ def merged_distribution(m: MixtureSpec) -> Piecewise:
 
 
 def _walk_pieces(m: MixtureSpec) -> tuple[tuple, array]:
-    """``MixtureSpec.pieces``, swept from the components' own pieces.
+    """``MixtureSpec.pieces``, swept from the components' atoms and segments.
 
     The ``QuantilePiece``s of q*F + (1-q)*G in level order, and the floats
-    of their ``lev_hi``.  Each component piece becomes ``_sweep`` events of
-    its side: a segment piece sets the side's density, ``weight`` times the
-    one its build stored (``_densities``), at its left end and clears it at
-    its right end, and an atom piece adds the mass ``weight * (lev_hi -
-    lev_lo)`` at its point, both as unreduced integer pairs.  A side of
-    weight 0 has no events.
+    of their ``lev_hi``.  Each side of nonzero weight reads its component's
+    stored ``atoms`` and ``segments``, which its build sorted and checked,
+    into the events a build makes of them (``_read_rows``,
+    ``_sweep_events``), side 0 weighted q and side 1 weighted 1-q; one
+    ``_sweep`` of both sides' events gives the pieces.
     """
     events = []
     for side, (weight, comp) in enumerate(((m.q, m.x), (1 - m.q, m.y))):
-        wn, wd = weight.numerator, weight.denominator
-        if not wn:
-            continue
-        # Built pieces that meet share one object (``_sweep`` hands its x on),
-        # so a segment piece's clear event waits for the next piece: a
-        # stretch starting at that object replaces it, and an atom there
-        # lends it its float.
-        end = None
-        for (lev_lo, lev_hi, x_left, x_right), f_left, density in zip(
-            comp._pieces, comp._x_lefts, comp._densities
-        ):
-            if end is not None and not (density is not None and end is x_left):
-                en, ed = end.numerator, end.denominator
-                f_end = f_left if end is x_left else _quotient(en, ed)
-                events.append((f_end, end, en, ed, side, None))
-            if density is not None:
-                value = (wn * density[0], wd * density[1])
-                events.append((f_left, x_left, x_left.numerator, x_left.denominator, side, value))
-                end = x_right
-            else:
-                hd, ld = lev_hi.denominator, lev_lo.denominator
-                mass = (wn * (lev_hi.numerator * ld - lev_lo.numerator * hd), wd * hd * ld)
-                events.append((f_left, x_left, x_left.numerator, x_left.denominator, None, mass))
-                end = None
-        if end is not None:
-            en, ed = end.numerator, end.denominator
-            events.append((_quotient(en, ed), end, en, ed, side, None))
-    pieces, _, _, cuts = _sweep(events)
+        if weight:
+            rows = _read_rows(comp.atoms, comp.segments)
+            events += _sweep_events(*rows, side, weight.numerator, weight.denominator)
+    pieces, _, cuts = _sweep(events)
     return tuple(pieces), cuts
 
 

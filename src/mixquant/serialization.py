@@ -157,12 +157,13 @@ def _parse_rows(
     """Exact rows of a piecewise literal, each a list of one number per name.
 
     Each distinct string is parsed once, through ``numbers``, which the
-    literal's rows share, so equal numbers arrive as one ``Fraction`` and
-    the mixture walk can tell a shared end by identity.  Only strings are
-    keys (JSON ``true`` equals ``1`` as a key and must still be rejected),
-    and only parsed ones are stored.  A row that fails to parse is read again
-    with labels, so the message names the row and field; well-formed rows
-    build no labels.
+    literal's rows share, so equal numbers arrive as one ``Fraction``, and
+    the rows reader of a build and of a mixture walk
+    (``distributions._read_rows``) converts a shared end once.  Only strings
+    are keys (JSON ``true`` equals ``1`` as a key and must still be
+    rejected), and only parsed ones are stored.  A row that fails to parse
+    is read again with labels, so the message names the row and field;
+    well-formed rows build no labels.
     """
 
     def parse(value) -> Fraction:

@@ -282,14 +282,26 @@ def assert_value_at_matches_affine(pieces):
             assert piece.value_at(p) == intercept + slope * p, (piece, p)
 
 
+def assert_cdf_inverts_value_at(d):
+    """Inside each segment piece the CDF, and its left limit, map the point
+    of the midpoint level m back to m."""
+    for piece in d.quantile_pieces():
+        if piece.x_left != piece.x_right:
+            m = (piece.lev_lo + piece.lev_hi) / 2
+            x = piece.value_at(m)
+            assert d.cdf(x) == m == d.cdf_left_limit(x), (piece, x)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(piecewise_dists(), rational_piecewise_dists()))
 def test_piece_slopes_match_their_ends(d):
     assert_value_at_matches_affine(d.quantile_pieces())
+    assert_cdf_inverts_value_at(d)
 
 
 def test_piece_slopes_match_their_ends_past_the_float_range():
     assert_value_at_matches_affine(FAR_LAW.quantile_pieces())
+    assert_cdf_inverts_value_at(FAR_LAW)
 
 
 def probe_points(d, share=F(1, 3)):
@@ -459,6 +471,21 @@ def test_parametric_arguments_past_the_float_range_are_a_domain_error(d):
     big = F(int(1.7e308))
     assert d.cdf(big) == d.cdf(1.7e308) and d.cdf(math.inf) == 1.0
     assert d.flat_left_of(-big) == d.flat_left_of(-1.7e308)
+
+
+@pytest.mark.parametrize(
+    "d", [Uniform(0, 1), Normal(0, 1), Exponential(2.0), LogNormal(0, 1)], ids=repr
+)
+def test_parametric_queries_reject_nan_as_piecewise_does(d):
+    # No CDF places NaN; Piecewise raises DomainError through as_fraction.
+    for query in (d.quantile, d.cdf, d.cdf_left_limit, d.flat_left_of):
+        with pytest.raises(DomainError):
+            query(math.nan)
+    # +-inf still answer.
+    assert (d.cdf(-math.inf), d.cdf(math.inf)) == (0.0, 1.0)
+    assert d.flat_left_of(-math.inf) == (True, -math.inf)
+    with pytest.raises(DomainError):
+        Piecewise.uniform(0, 1).cdf(math.nan)
 
 
 def test_parametric_flatness_outside_support():

@@ -36,7 +36,7 @@ from mixquant.mixture import (
     numeric_quantile,
     sample,
 )
-from mixquant.serialization import serialize_mixture
+from mixquant.serialization import parse_mixture, serialize_mixture
 from mixquant.verification import InstanceGenConfig, generate_instance, monte_carlo_quantile
 
 from reference import breakpoints, ref_cdf, ref_cdf_left, ref_merged, ref_quantile
@@ -389,7 +389,24 @@ WALK_CASES = {
             ),
         )
     ],
+    # The cases above hand a component equal but distinct segment ends; read
+    # from a document, as ``curve`` reads them, a shared end is one object.
+    "parsed": lambda: _parsed(WALK_CASES["wide"]() + WALK_CASES["coprime"]()),
 }
+
+
+def _parsed(mixtures):
+    """The mixtures round-tripped through ``serialize_mixture`` and
+    ``parse_mixture``, after checking that some shared end is one object."""
+    parsed = [parse_mixture(serialize_mixture(m)) for m in mixtures]
+    assert parsed == mixtures
+    assert any(
+        a[1] is b[0]
+        for m in parsed
+        for comp in (m.x, m.y)
+        for a, b in zip(comp.segments, comp.segments[1:])
+    )
+    return parsed
 
 
 @pytest.mark.parametrize("name", WALK_CASES)
