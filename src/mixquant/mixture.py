@@ -3,8 +3,9 @@
 The mixture CDF is the convex combination q*F + (1-q)*G.  For a pair of
 exact piecewise components the mixture is itself piecewise, so direct
 inversion of the CDF stays exact: it bisects the mixture's quantile pieces,
-walked once from the components' own.  For parametric pairs the leftmost
-crossing of the level p is bracketed and narrowed in floating point.
+swept once from the components' stored atoms and segments.  For parametric
+pairs the leftmost crossing of the level p is bracketed and narrowed in
+floating point.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
 from .distributions import (
     DomainError,
@@ -310,47 +310,25 @@ def _float_of_rank(rank: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def _substreams(
-    m: MixtureSpec, n: int, seed: int
-) -> tuple[np.random.Generator, Callable[[int], tuple[np.ndarray, np.ndarray]]]:
-    """The three independent substreams of a seed's n draws of S: indicator,
-    X, Y.
-
-    Returns the indicator's generator and ``draws(n_x)``, which takes n_x
-    values of X from X's substream and n - n_x of Y from Y's.  ``sample``
-    reads one indicator per draw from the first; the Monte Carlo oracle reads
-    only the X count, as one binomial draw.  Given the same count, both get
-    the same X and Y values.
-    """
-    import numpy as np
-
-    g_ind, g_x, g_y = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
-
-    def draws(n_x: int) -> tuple[np.ndarray, np.ndarray]:
-        # A side with no draws is never asked to sample.
-        x_draws = m.x.sample(n_x, g_x) if n_x else np.empty(0)
-        y_draws = m.y.sample(n - n_x, g_y) if n - n_x else np.empty(0)
-        return x_draws, y_draws
-
-    return g_ind, draws
-
-
 def sample(m: MixtureSpec, n: int, seed: int) -> np.ndarray:
     """n draws of S: the indicator I ~ Bernoulli(q) picks X or Y per draw.
 
-    The seed fixes three independent substreams (indicator, X, Y;
-    ``_substreams``): one uniform per draw from the first sets I, and the
-    draws of X and of Y fill the places where I is 1 and 0, in order.  Equal
-    seeds reproduce the output exactly.
+    The seed fixes three independent substreams, indicator, X and Y, spawned
+    from ``SeedSequence(seed)``: one uniform per draw from the first sets I,
+    and the draws of X and of Y, each from its own substream, fill the
+    places where I is 1 and 0, in order.  A side with no draws is never
+    asked to sample.  Equal seeds reproduce the output exactly.
     """
     if n < 0:
         raise DomainError(f"sample count must be nonnegative, got {n}")
     import numpy as np
 
-    g_ind, draws = _substreams(m, n, seed)
+    g_ind, g_x, g_y = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
     take_x = g_ind.random(n) < float(m.q)
-    x_draws, y_draws = draws(int(np.count_nonzero(take_x)))
+    n_x = int(np.count_nonzero(take_x))
     out = np.empty(n, dtype=float)
-    out[take_x] = x_draws
-    out[~take_x] = y_draws
+    if n_x:
+        out[take_x] = m.x.sample(n_x, g_x)
+    if n - n_x:
+        out[~take_x] = m.y.sample(n - n_x, g_y)
     return out

@@ -42,7 +42,6 @@ from .distributions import (
 )
 from .mixture import (
     MixtureSpec,
-    _substreams,
     _mix_levels,
     direct_quantile,
     mixture_cdf,
@@ -126,10 +125,18 @@ def _grid_cdf(d: Distribution) -> Callable[[float], float]:
     """The CDF of ``d`` at a float point, written from its atoms and segments
     or its parameters: independent of the solver and of the class's own query
     path.  A piecewise CDF adds its atoms, then its segments, each feature's
-    float share at the point in stored order."""
+    float share at the point in stored order.  A position or segment width
+    past the float range has no float share, so it is a ``DomainError``, as
+    in ``GridOracleConfig.from_mixture``: a width of inf would read every
+    point of its ramp as 0."""
     if isinstance(d, Piecewise):
-        atoms = [(float(loc), float(mass)) for loc, mass in d.atoms]
-        segments = [tuple(map(float, segment)) for segment in d.segments]
+        try:
+            atoms = [(float(loc), float(mass)) for loc, mass in d.atoms]
+            segments = [tuple(map(float, segment)) for segment in d.segments]
+        except OverflowError:
+            raise DomainError("grid oracle: a piecewise position exceeds the float range") from None
+        if any(right - left == math.inf for left, right, _ in segments):
+            raise DomainError("grid oracle: a piecewise segment width exceeds the float range")
 
         def piecewise(x: float) -> float:
             out = 0.0
@@ -194,13 +201,16 @@ def grid_oracle_quantile(m: MixtureSpec, p, cfg: GridOracleConfig) -> float:
 def monte_carlo_quantile(m: MixtureSpec, p, n: int, seed: int) -> float:
     """Order statistic of rank ceil(n*p) among n seeded draws of the mixture.
 
-    Of n draws of S, the number taken from X is Binomial(n, q), so the
-    indicator substream gives that count as one binomial draw in place of n
-    indicators (numpy's BTPE sampler where n*min(q, 1 - q) > 30, inversion
-    below that).  The X and Y draws come from the same substreams as
-    ``sample``'s (``mixture._substreams``).  An order statistic ignores draw
-    order, so the draws are neither scattered nor shuffled, and the law of
-    the result is that of ``sample``'s order statistic.
+    Of n draws of S, the number taken from X is Binomial(n, q), so the count
+    is one binomial draw in place of n indicators (numpy's BTPE sampler
+    where n*min(q, 1 - q) > 30, inversion below that).  One generator,
+    ``default_rng(seed)``, gives in turn the X count n_x, then n_x values of
+    X, then n - n_x values of Y; a side with no draws is never asked to
+    sample.  Each block reads the stream on from where the one before
+    stopped, a stopping time of an iid stream, so the blocks are independent
+    and the result has the law of the order statistic of ``sample``'s n
+    draws, though not its seeded values.  An order statistic ignores draw
+    order, so the draws are neither scattered nor shuffled.
     """
     p = as_fraction(p)
     if not 0 < p < 1:
@@ -210,10 +220,12 @@ def monte_carlo_quantile(m: MixtureSpec, p, n: int, seed: int) -> float:
     import numpy as np
 
     rank = math.ceil(n * p)
-    g_ind, draws = _substreams(m, n, seed)
-    n_x = int(g_ind.binomial(n, float(m.q)))
+    rng = np.random.default_rng(seed)
+    n_x = int(rng.binomial(n, float(m.q)))
+    x_draws = m.x.sample(n_x, rng) if n_x else np.empty(0)
+    y_draws = m.y.sample(n - n_x, rng) if n - n_x else np.empty(0)
     # The concatenation is selected in place, with no second copy.
-    values = np.concatenate(draws(n_x))
+    values = np.concatenate((x_draws, y_draws))
     values.partition(rank - 1)
     return float(values[rank - 1])
 

@@ -778,25 +778,55 @@ def test_sample_output_is_pinned(kind, q, digest):
     assert hashlib.sha256(sample(m, 20_000, seed=7).tobytes()).hexdigest() == digest
 
 
+def _one_generator_draws(m, n, seed):
+    # The oracle's draw layout, spelled out here rather than read from the
+    # package: one default_rng(seed) gives the X count n_x ~ Binomial(n, q),
+    # then n_x values of X, then n - n_x values of Y.  A side with no draws
+    # is not asked for any.
+    rng = np.random.default_rng(seed)
+    n_x = int(rng.binomial(n, float(m.q)))
+    x_draws = m.x.sample(n_x, rng) if n_x else np.empty(0)
+    y_draws = m.y.sample(n - n_x, rng) if n - n_x else np.empty(0)
+    return np.concatenate((x_draws, y_draws))
+
+
 @pytest.mark.parametrize("q", [F(0), F(1, 3), F(1)])
 @pytest.mark.parametrize("kind", SAMPLING_PAIRS)
 def test_monte_carlo_is_the_order_statistic_of_sample(kind, q):
-    # At q = 0 or 1 the oracle's draws are sample's.  In between, it draws
-    # the X count n_x ~ Binomial(n, q) once from sample's indicator substream
-    # and takes the first n_x values of X's substream and the first n - n_x
-    # of Y's.  The layout is spelled out here, not read from the package.
+    # The oracle's answer is the order statistic of rank ceil(n*p) among the
+    # draws of the one-generator layout.  This pins what the law test in
+    # test_verification.py cannot see: X and Y drawn from two generators
+    # seeded alike move these values, as does any other change to which
+    # draws the oracle takes.
     m = MixtureSpec(q, *SAMPLING_PAIRS[kind])
     n = 20_000
-    if m.lone is not None:
-        draws = sample(m, n, seed=5)
-    else:
-        g_ind, g_x, g_y = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(3)]
-        n_x = int(g_ind.binomial(n, float(q)))
-        draws = np.concatenate((m.x.sample(n_x, g_x), m.y.sample(n - n_x, g_y)))
-    ordered = np.sort(draws)
+    ordered = np.sort(_one_generator_draws(m, n, seed=5))
     for k in range(1, 100):
         p = F(k, 100)
         assert monte_carlo_quantile(m, p, n, seed=5) == ordered[math.ceil(n * p) - 1], p
+
+
+class _Unsampled(Uniform):
+    """A uniform law whose ``sample`` fails: a side that must get no draws."""
+
+    def sample(self, n, rng):
+        raise AssertionError(f"an absent side was asked for {n} draws")
+
+
+@pytest.mark.parametrize("q", [F(0), F(1)])
+def test_monte_carlo_and_sample_never_ask_the_absent_side(q):
+    def with_absent(absent):
+        present = Normal(0.0, 1.0)
+        return MixtureSpec(q, *((present, absent) if q == 1 else (absent, present)))
+
+    m = with_absent(_Unsampled(-1.0, 4.0))
+    n = 2_000
+    ordered = np.sort(_one_generator_draws(m, n, seed=5))
+    for p in (F(1, 10), F(1, 2), F(9, 10)):
+        assert monte_carlo_quantile(m, p, n, seed=5) == ordered[math.ceil(n * p) - 1], p
+    # sample draws from the present side alone too: the same output as with
+    # an absent side that could sample.
+    assert np.array_equal(sample(m, n, seed=5), sample(with_absent(Uniform(-1.0, 4.0)), n, seed=5))
 
 
 @pytest.mark.parametrize(

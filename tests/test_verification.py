@@ -173,6 +173,40 @@ def test_grid_config_from_mixture_rejects_a_support_beyond_the_float_range():
         assert report.passed and report.s_p == 1
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        # An atom with no float: its float() raised OverflowError.
+        (
+            MixtureSpec(
+                F(1, 2),
+                Piecewise.uniform(0, 1),
+                Piecewise([(-(10**400), F(1, 4))], [(0, 1, F(3, 4))]),
+            ),
+            "position",
+        ),
+        # Float ends, but a float width of inf: the ramp read 0 at every
+        # point, so the grid answered 1.01 where s_p is 1/2.
+        (
+            MixtureSpec(F(1, 2), Piecewise.uniform(-(10**308), 10**308), Piecewise.uniform(0, 1)),
+            "width",
+        ),
+    ],
+    ids=["atom", "segment"],
+)
+def test_grid_oracle_rejects_a_caller_grid_over_a_feature_past_the_float_range(m, message):
+    # A caller's grid skips from_mixture's hull check, so the grid CDF
+    # itself names the float range, and cross_check raises it rather than
+    # reporting a false grid failure.
+    cfg = GridOracleConfig(-1.0, 2.0, 101)
+    for mm in (m, m.swapped()):
+        with pytest.raises(DomainError, match=f"{message} exceeds the float range"):
+            grid_oracle_quantile(mm, F(1, 2), cfg)
+        with pytest.raises(DomainError, match="float range"):
+            cross_check(mm, F(1, 2), cfg)
+        assert cross_check(mm, F(1, 2)).passed
+
+
 def _dense_cdf_grid(d, xs):
     """A piecewise CDF with every feature evaluated on every grid point."""
     out = np.zeros_like(xs)
@@ -467,6 +501,30 @@ def test_monte_carlo_validation():
         monte_carlo_quantile(m, 0, 100, seed=1)
     with pytest.raises(DomainError):
         monte_carlo_quantile(m, F(1, 2), 0, seed=1)
+
+
+def test_monte_carlo_answers_follow_the_order_statistic_law():
+    # The answer is the k-th smallest of n draws of S, k = ceil(n*p), so
+    # P(answer <= t) = P(Binomial(n, F_S(t)) >= k) exactly.  Over 8,000
+    # seeds the empirical CDF of the answers stays within the DKW band
+    # sqrt(ln(2/1e-6) / (2 * 8000)) = 0.030 of that law at every t, except
+    # with probability 1e-6; it reads 0.011.  This reads the law, not seeded
+    # values.  Rank k - 1 reads 0.060, rank k + 1 0.052, a fixed X count
+    # round(n*q) 0.039 and binomial(n, 1 - q) 0.98, all outside the band
+    # (at 2,000 seeds, with a band of 0.060, rank k + 1 and the fixed count
+    # passed).  X and Y drawn from two generators seeded alike reads 0.018
+    # and passes: the layout test in test_mixture.py pins that.
+    m = MixtureSpec(F(1, 3), Uniform(0.0, 1.0), Uniform(0.5, 1.5))
+    n, runs, k = 200, 8_000, 100
+    answers = np.array([monte_carlo_quantile(m, F(1, 2), n, seed) for seed in range(runs)])
+
+    def law(t):
+        f = min(max(t, 0.0), 1.0) / 3 + 2 * min(max(t - 0.5, 0.0), 1.0) / 3
+        return sum(math.comb(n, j) * f**j * (1 - f) ** (n - j) for j in range(k, n + 1))
+
+    band = math.sqrt(math.log(2 / 1e-6) / (2 * runs))
+    gap = max(abs(np.count_nonzero(answers <= t) / runs - law(t)) for t in np.linspace(0.5, 1.2, 60))
+    assert gap < band, (gap, band)
 
 
 # ---------------------------------------------------------------------------
